@@ -63,7 +63,7 @@ std::vector<std::vector<std::uint8_t>> makeStream(std::size_t batches,
     net::BatchHeader header;
     header.readerId = 1;
     header.seq = static_cast<std::uint32_t>(i + 1);
-    frames.push_back(net::encodeBatchV2(header, messages));
+    frames.push_back(net::encodeBatchV3(header, messages));
   }
   return frames;
 }

@@ -11,6 +11,7 @@
 #include "core/localizer.hpp"
 #include "core/spectrum_analysis.hpp"
 #include "net/backend.hpp"
+#include "net/outbox.hpp"
 #include "sim/medium.hpp"
 
 using namespace caraoke;
@@ -62,11 +63,14 @@ int main() {
   const std::uint64_t myAccount = cars[1].id().programmable;
 
   // Each reader measures every car: burst AoA -> sighting report; decode
-  // -> decode report. All over the wire protocol.
+  // -> decode report. All over the wire protocol, batched per pole.
   core::SpectrumAnalyzer analyzer;
   apps::CarFinder finder;
   for (std::uint32_t readerId : {1u, 2u}) {
     sim::ReaderNode& reader = readerId == 1 ? poleA : poleB;
+    net::OutboxConfig outboxConfig;
+    outboxConfig.readerId = readerId;
+    net::Outbox outbox(outboxConfig, Rng(readerId));
     for (std::size_t c = 0; c < cars.size(); ++c) {
       core::AoaAggregator aggregator(geometryFor(reader));
       const double cfo =
@@ -99,7 +103,13 @@ int main() {
       sighting.cfoHz = cfo;
       sighting.pairIndex = static_cast<std::uint32_t>(roadPair);
       sighting.angleRad = aoa.perPair.at(roadPair).angleRad;
-      backend.ingestFrame(net::encodeMessage(net::Message{sighting}));
+      outbox.add(net::Message{sighting});
+    }
+    // One modem wake per pole: seal the batch, uplink it, take the ack.
+    outbox.seal(60.0);
+    for (const auto& tx : outbox.collectTransmissions(60.0)) {
+      const auto ingested = backend.ingestBatch(tx.frame);
+      if (ingested.ok()) outbox.onAckFrame(ingested.value().ack, 60.0);
     }
   }
 

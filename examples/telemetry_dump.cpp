@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "net/backend.hpp"
+#include "net/link.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -73,15 +74,23 @@ int main(int argc, char** argv) {
   apps::ReaderDaemonConfig config;
   config.uplinkPeriodSec = 10.0;
   apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
-  daemon.runUntil(30.0);
 
-  // Close the loop: the backend ingests what the daemon uplinked, which
-  // drives the net.backend.* counters.
+  // Close the loop over a fault-free uplink/ack link pair: the backend
+  // ingests what the daemon uplinks (driving the net.backend.* counters)
+  // and its acks drain the daemon's outbox.
+  net::LinkConfig clean;
+  clean.latencyMeanSec = 0.0;
+  clean.latencyJitterSec = 0.0;
+  net::UplinkLink up(clean, Rng(1));
+  net::UplinkLink down(clean, Rng(2));
+  daemon.attachUplink(&up, &down);
   net::Backend backend;
-  for (const auto& frame : daemon.takeUplink()) {
-    const auto batch = net::decodeBatch(frame);
-    if (!batch.ok()) continue;
-    for (const auto& message : batch.value().messages) backend.ingest(message);
+  for (double t = 1.0; t <= 30.0; t += 1.0) {
+    daemon.runUntil(t);
+    for (const auto& frame : up.deliver(t)) {
+      const auto result = backend.ingestBatch(frame);
+      if (result.ok()) down.send(result.value().ack, t);
+    }
   }
   backend.fuse(30.0);
 

@@ -367,8 +367,11 @@ void ReaderDaemon::pumpUplink(double now) {
   }
 
   // Transmit everything due: freshly sealed batches and expired-backoff
-  // retries. One modem wake covers the burst.
-  const auto transmissions = outbox_.collectTransmissions(now);
+  // retries. One modem wake covers the burst. Without a link nothing
+  // leaves the pole; the batches wait in the outbox.
+  const auto transmissions = uplinkTx_ != nullptr
+                                 ? outbox_.collectTransmissions(now)
+                                 : std::vector<net::OutboxTransmission>{};
   if (!transmissions.empty()) {
     std::size_t bytes = 0;
     for (const auto& tx : transmissions) bytes += tx.frame.size();
@@ -400,14 +403,7 @@ void ReaderDaemon::pumpUplink(double now) {
                      {"seq", tx.seq},
                      {"attempt", tx.attempt},
                      {"trace", obs::traceHex(traceId)}});
-      if (uplinkTx_ != nullptr) {
-        uplinkTx_->send(tx.frame, now);
-      } else {
-        // Fire-and-forget legacy mode: hand the frame to takeUplink()
-        // and treat it as delivered (no retransmission without a link).
-        uplink_.push_back(tx.frame);
-        outbox_.onAck(tx.seq, now);
-      }
+      uplinkTx_->send(tx.frame, now);
     }
   }
 
@@ -480,12 +476,6 @@ const DaemonStats& ReaderDaemon::stats() const {
   statsView_.uplinkRetries = uplinkRetriesCtr_.value();
   statsView_.energyJoules = energyGauge_.value();
   return statsView_;
-}
-
-std::vector<std::vector<std::uint8_t>> ReaderDaemon::takeUplink() {
-  std::vector<std::vector<std::uint8_t>> out;
-  out.swap(uplink_);
-  return out;
 }
 
 }  // namespace caraoke::apps

@@ -123,18 +123,13 @@ class ReaderDaemon {
   /// backend can log the pole's final observations before power-down.
   void shutdownFlush(double now);
 
-  /// Route uplink traffic through a lossy link pair: `tx` carries batch
-  /// frames toward the backend, `ackRx` carries acks back. Both pointers
-  /// are non-owning and must outlive the daemon (or be detached with
-  /// nullptrs). Without links attached, flushed batches land in
-  /// takeUplink() and are treated as delivered (fire-and-forget legacy
-  /// mode — no retries).
+  /// Route uplink traffic through a link pair: `tx` carries batch frames
+  /// toward the backend, `ackRx` carries acks back. Both pointers are
+  /// non-owning and must outlive the daemon (or be detached with
+  /// nullptrs). With no link attached the daemon transmits nothing and
+  /// acks nothing: sealed batches wait in the outbox, under its byte
+  /// budget, and go out on the first tick after a link is attached.
   void attachUplink(net::UplinkLink* tx, net::UplinkLink* ackRx);
-
-  /// Batches flushed since the last call (wire bytes, ready for
-  /// net::decodeBatch / Backend::ingestBatch). Only populated when no
-  /// uplink link is attached.
-  std::vector<std::vector<std::uint8_t>> takeUplink();
 
   /// Watchdog state of the uplink path. Atomic read: the expo server's
   /// /healthz handler polls this from its own thread.
@@ -210,7 +205,6 @@ class ReaderDaemon {
   /// Lock-free by design: a single enum word with no cross-field
   /// invariant to protect.
   std::atomic<UplinkHealth> health_ CARAOKE_LOCKFREE{UplinkHealth::kHealthy};
-  std::vector<std::vector<std::uint8_t>> uplink_;
   std::vector<net::DecodeReport> decoded_;
   /// Per-track decode state: tracks already identified (by track id).
   std::vector<std::uint64_t> identifiedTracks_;

@@ -17,10 +17,6 @@ namespace caraoke::net {
 namespace {
 
 struct BackendMetrics {
-  obs::Counter& frames =
-      obs::globalRegistry().counter("net.backend.frames_ingested");
-  obs::Counter& frameErrors =
-      obs::globalRegistry().counter("net.backend.frame_errors");
   obs::Counter& counts =
       obs::globalRegistry().counter("net.backend.count_reports");
   obs::Counter& sightings =
@@ -28,6 +24,8 @@ struct BackendMetrics {
   obs::Counter& decodes =
       obs::globalRegistry().counter("net.backend.decode_reports");
   obs::Counter& fixes = obs::globalRegistry().counter("net.backend.fixes_fused");
+  obs::Counter& rejectedPairIndex =
+      obs::globalRegistry().counter("net.backend.rejected.pair_index");
   obs::Counter& batches =
       obs::globalRegistry().counter("net.backend.batches_ingested");
   obs::Counter& batchErrors =
@@ -145,19 +143,6 @@ void Backend::registerReader(std::uint32_t readerId,
   readers_[readerId] = std::move(geometry);
 }
 
-caraoke::Result<bool> Backend::ingestFrame(
-    const std::vector<std::uint8_t>& frame) {
-  using R = caraoke::Result<bool>;
-  auto decoded = decodeMessage(frame);
-  if (!decoded.ok()) {
-    backendMetrics().frameErrors.inc();
-    return R::failure(decoded.error());
-  }
-  backendMetrics().frames.inc();
-  ingest(decoded.value());
-  return true;
-}
-
 std::size_t Backend::pendingSightings() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return sightings_.size();
@@ -176,7 +161,7 @@ std::size_t Backend::decodesSize() const {
 caraoke::Result<BatchIngestStats> Backend::ingestBatch(
     const std::vector<std::uint8_t>& frame) {
   using R = caraoke::Result<BatchIngestStats>;
-  auto decoded = decodeBatch(frame, BatchDecodePolicy::kSalvage);
+  auto decoded = decodeBatch(frame);
   if (!decoded.ok()) {
     backendMetrics().batchErrors.inc();
     return R::failure(decoded.error());
@@ -205,23 +190,21 @@ caraoke::Result<BatchIngestStats> Backend::ingestBatch(
     backendMetrics().batchErrors.inc();
     return R::failure("backend recovering: restore() pending");
   }
-  if (batch.hasHeader) {
-    stats.readerId = batch.header.readerId;
-    stats.seq = batch.header.seq;
-    stats.hasAck = true;
-    stats.ack = encodeAck({batch.header.readerId, batch.header.seq});
-    backendMetrics().acksSent.inc();
+  stats.readerId = batch.header.readerId;
+  stats.seq = batch.header.seq;
+  stats.hasAck = true;
+  stats.ack = encodeAck({batch.header.readerId, batch.header.seq});
+  backendMetrics().acksSent.inc();
 
-    // Dedup peek before the WAL append: retransmissions are re-acked but
-    // never logged (replay therefore never sees a duplicate, so replay
-    // equivalence needs no idempotence argument). find(), not
-    // operator[], so the peek itself mutates nothing un-logged.
-    const auto it = seqState_.find(batch.header.readerId);
-    if (it != seqState_.end() && it->second.seen.count(batch.header.seq) > 0) {
-      stats.deduplicated = true;
-      backendMetrics().duplicateBatches.inc();
-      return stats;
-    }
+  // Dedup peek before the WAL append: retransmissions are re-acked but
+  // never logged (replay therefore never sees a duplicate, so replay
+  // equivalence needs no idempotence argument). find(), not operator[],
+  // so the peek itself mutates nothing un-logged.
+  const auto it = seqState_.find(batch.header.readerId);
+  if (it != seqState_.end() && it->second.seen.count(batch.header.seq) > 0) {
+    stats.deduplicated = true;
+    backendMetrics().duplicateBatches.inc();
+    return stats;
   }
 
   if (wal_ != nullptr) {
@@ -255,24 +238,22 @@ caraoke::Result<BatchIngestStats> Backend::ingestBatch(
 
 bool Backend::applyBatchLocked(const DecodedBatch& batch,
                                BatchIngestStats& stats) {
-  if (batch.hasHeader) {
-    ReaderSeqState& state = seqState_[batch.header.readerId];
-    if (state.seen.count(batch.header.seq) > 0) {
-      // Retransmission of a batch we already have: ingest nothing.
-      stats.deduplicated = true;
-      backendMetrics().duplicateBatches.inc();
-      return false;
-    }
-    state.seen.insert(batch.header.seq);
-    if (batch.header.seq > state.maxSeq) {
-      const std::uint32_t expected = state.maxSeq + 1;
-      if (batch.header.seq > expected)
-        backendMetrics().gapsOpened.inc(batch.header.seq - expected);
-      state.maxSeq = batch.header.seq;
-    } else {
-      // Out-of-order arrival below the high-water mark fills a gap.
-      backendMetrics().gapsFilled.inc();
-    }
+  ReaderSeqState& state = seqState_[batch.header.readerId];
+  if (state.seen.count(batch.header.seq) > 0) {
+    // Retransmission of a batch we already have: ingest nothing.
+    stats.deduplicated = true;
+    backendMetrics().duplicateBatches.inc();
+    return false;
+  }
+  state.seen.insert(batch.header.seq);
+  if (batch.header.seq > state.maxSeq) {
+    const std::uint32_t expected = state.maxSeq + 1;
+    if (batch.header.seq > expected)
+      backendMetrics().gapsOpened.inc(batch.header.seq - expected);
+    state.maxSeq = batch.header.seq;
+  } else {
+    // Out-of-order arrival below the high-water mark fills a gap.
+    backendMetrics().gapsFilled.inc();
   }
   for (const auto& message : batch.messages) {
     ingestLocked(message);
@@ -292,11 +273,6 @@ std::uint32_t Backend::highestSeq(std::uint32_t readerId) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = seqState_.find(readerId);
   return it == seqState_.end() ? 0 : it->second.maxSeq;
-}
-
-void Backend::ingest(const Message& message) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ingestLocked(message);
 }
 
 void Backend::ingestLocked(const Message& message) {
@@ -324,6 +300,15 @@ void Backend::ingestLocked(const Message& message) {
 
 std::vector<FusedFix> Backend::fuse(double now) {
   std::lock_guard<std::mutex> lock(mutex_);
+  // A pairIndex naming no baseline of its reader's geometry can never be
+  // fused, and baselineDirection() would throw on it on every call.
+  const std::size_t badPairs =
+      std::erase_if(sightings_, [this](const SightingReport& s) {
+        const auto it = readers_.find(s.readerId);
+        return it != readers_.end() && s.pairIndex >= it->second.pairs.size();
+      });
+  if (badPairs > 0) backendMetrics().rejectedPairIndex.inc(badPairs);
+
   std::vector<FusedFix> fixes;
   std::vector<bool> consumed(sightings_.size(), false);
 
@@ -658,8 +643,11 @@ caraoke::Result<RestoreStats> Backend::restore() {
     const std::uint64_t end =
         cursor + kWalRecordOverheadBytes + payload.size();
     if (end > snapshot.state.walOffset) {
-      auto decoded = decodeBatch(payload, BatchDecodePolicy::kSalvage);
+      auto decoded = decodeBatch(payload);
       if (decoded.ok()) {
+        // Salvage drops what live ingest dropped, and counts it alike.
+        if (decoded.value().droppedMessages > 0)
+          backendMetrics().salvagedDrops.inc(decoded.value().droppedMessages);
         BatchIngestStats replayStats;
         applyBatchLocked(decoded.value(), replayStats);
         ++out.replayedRecords;

@@ -131,16 +131,20 @@ struct BatchIngestStats {
   bool deduplicated = false;
   std::size_t accepted = 0;         ///< Messages ingested.
   std::size_t droppedMessages = 0;  ///< Undecodable inner messages skipped.
-  bool hasAck = false;              ///< v2 frames always get an ack.
+  bool hasAck = false;              ///< Always true on success.
   std::vector<std::uint8_t> ack;    ///< Send this back to the reader.
 };
 
 /// Collects reports and produces fused fixes.
 ///
-/// Thread-safe for the ingestion surface: registerReader, ingestFrame,
-/// ingestBatch, ingest, fuse, and the scalar accessors (gapCount,
-/// highestSeq, pendingSightings, countsSize/decodesSize) all serialize
-/// on an internal mutex, so one backend can ingest many readers' uplink
+/// ingestBatch is the only way reports enter: every accepted batch is
+/// deduplicated, logged to the WAL (when durable) and acked, and nothing
+/// is taken while restore() is pending.
+///
+/// Thread-safe for the ingestion surface: registerReader, ingestBatch,
+/// fuse, pairSpeeds, and the scalar accessors (gapCount, highestSeq,
+/// pendingSightings, countsSize/decodesSize) all serialize on an
+/// internal mutex, so one backend can ingest many readers' uplink
 /// streams from concurrent threads. The by-reference accessors
 /// (counts(), decodes(), sightings()) hand out views into live storage
 /// and therefore require the caller to quiesce ingestion first — they
@@ -153,11 +157,8 @@ class Backend {
   /// before its sightings can be fused.
   void registerReader(std::uint32_t readerId, core::ArrayGeometry geometry);
 
-  /// Ingest a framed message (as received from the modem link).
-  caraoke::Result<bool> ingestFrame(const std::vector<std::uint8_t>& frame);
-
   /// Ingest one uplink batch frame from the lossy link. Hardened: inner
-  /// messages that fail to decode are skipped (salvage), v2 envelopes are
+  /// messages that fail to decode are skipped (salvage), batches are
   /// deduplicated by (readerId, seq) so retransmissions never double-count,
   /// out-of-order arrival is tolerated, and sequence gaps are accounted.
   /// Fails only when the whole frame is unusable (bad magic, CRC
@@ -165,9 +166,6 @@ class Backend {
   /// reader's retransmission.
   caraoke::Result<BatchIngestStats> ingestBatch(
       const std::vector<std::uint8_t>& frame);
-
-  /// Ingest an already-decoded message.
-  void ingest(const Message& message);
 
   /// Recover state from the configured durability directory: load the
   /// newest valid snapshot, replay the WAL tail past its offset
@@ -206,7 +204,9 @@ class Backend {
 
   /// Associate + fuse everything currently buffered; consumed sightings
   /// are removed. Unpaired sightings stay buffered until they expire out
-  /// of the time window.
+  /// of the time window. A sighting whose pairIndex is outside its
+  /// reader's registered geometry is dropped and counted in
+  /// `net.backend.rejected.pair_index`.
   std::vector<FusedFix> fuse(double now);
 
   /// Pair abeam crossings across readers into speed estimates (§7).
@@ -275,7 +275,7 @@ class Backend {
     std::uint64_t traceId = 0;
   };
 
-  /// ingest() body; assumes mutex_ is held.
+  /// Buffer one decoded report; assumes mutex_ is held.
   void ingestLocked(const Message& message) CARAOKE_REQUIRES(mutex_);
   /// Dedup/gap/seq accounting + message ingestion for one decoded batch;
   /// assumes mutex_ is held. Shared by the live ingest path (after the

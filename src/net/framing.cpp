@@ -1,197 +1,88 @@
 #include "net/framing.hpp"
 
-#include <span>
-
 #include "phy/crc.hpp"
 
 namespace caraoke::net {
 
-void FrameBatcher::add(const Message& message) {
-  encoded_.push_back(encodeMessage(message));
-}
-
-std::size_t FrameBatcher::byteSize() const {
-  std::size_t size = 4;  // magic + count
-  for (const auto& m : encoded_) size += 2 + m.size();
-  return size;
-}
-
 namespace {
 
-void appendEntries(std::vector<std::uint8_t>& out,
-                   const std::vector<std::vector<std::uint8_t>>& encoded) {
-  for (const auto& m : encoded) {
-    const auto len = static_cast<std::uint16_t>(m.size());
-    out.push_back(static_cast<std::uint8_t>(len & 0xFF));
-    out.push_back(static_cast<std::uint8_t>(len >> 8));
-    out.insert(out.end(), m.begin(), m.end());
-  }
-}
+/// magic + readerId + seq + count.
+constexpr std::size_t kHeaderBytes = 12;
+constexpr std::size_t kCrcBytes = 4;
 
 }  // namespace
 
-std::vector<std::uint8_t> FrameBatcher::flush() {
-  if (encoded_.empty()) return {};
-  ByteWriter writer;
-  writer.u16(kMagic);
-  writer.u16(static_cast<std::uint16_t>(encoded_.size()));
-  std::vector<std::uint8_t> out = writer.bytes();
-  appendEntries(out, encoded_);
-  encoded_.clear();
-  return out;
+void appendTracedEntry(ByteWriter& out, const Message& message) {
+  const std::vector<std::uint8_t> payload = encodeMessage(message);
+  const obs::TraceContext trace = messageTrace(message);
+  out.u16(static_cast<std::uint16_t>(kTracePrefixBytes + payload.size()));
+  out.u64(trace.traceId);
+  out.u64(trace.spanId);
+  out.raw(payload);
 }
 
-namespace {
-
-std::vector<std::uint8_t> encodeEnvelope(
-    std::uint16_t magic, const BatchHeader& header,
-    const std::vector<std::vector<std::uint8_t>>& encoded) {
-  ByteWriter writer;
-  writer.u16(magic);
-  writer.u32(header.readerId);
-  writer.u32(header.seq);
-  writer.u16(static_cast<std::uint16_t>(encoded.size()));
-  std::vector<std::uint8_t> out = writer.bytes();
-  appendEntries(out, encoded);
-  const std::uint32_t crc = phy::crc32(out);
-  ByteWriter trailer;
-  trailer.u32(crc);
-  out.insert(out.end(), trailer.bytes().begin(), trailer.bytes().end());
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> FrameBatcher::flush(const BatchHeader& header) {
-  if (encoded_.empty()) return {};
-  auto out = encodeEnvelope(kMagicV2, header, encoded_);
-  encoded_.clear();
-  return out;
-}
-
-std::vector<std::uint8_t> encodeBatchV2(const BatchHeader& header,
-                                        const std::vector<Message>& messages) {
-  std::vector<std::vector<std::uint8_t>> encoded;
-  encoded.reserve(messages.size());
-  for (const auto& m : messages) encoded.push_back(encodeMessage(m));
-  return encodeEnvelope(FrameBatcher::kMagicV2, header, encoded);
+EntryRead readTracedEntry(ByteReader& in, Message& out) {
+  std::uint16_t len = 0;
+  std::span<const std::uint8_t> entry;
+  if (!in.u16(len) || !in.take(len, entry)) return EntryRead::kTruncated;
+  ByteReader prefix(entry);
+  obs::TraceContext trace;
+  if (!prefix.u64(trace.traceId) || !prefix.u64(trace.spanId))
+    return EntryRead::kDamaged;
+  auto decoded = decodeMessage(entry.subspan(kTracePrefixBytes));
+  if (!decoded.ok()) return EntryRead::kDamaged;
+  out = std::move(decoded.value());
+  setMessageTrace(out, trace);
+  return EntryRead::kOk;
 }
 
 std::vector<std::uint8_t> encodeBatchV3(const BatchHeader& header,
                                         const std::vector<Message>& messages) {
-  std::vector<std::vector<std::uint8_t>> encoded;
-  encoded.reserve(messages.size());
-  for (const auto& m : messages) {
-    const obs::TraceContext trace = messageTrace(m);
-    ByteWriter prefix;
-    prefix.u64(trace.traceId);
-    prefix.u64(trace.spanId);
-    std::vector<std::uint8_t> entry = prefix.bytes();
-    const std::vector<std::uint8_t> inner = encodeMessage(m);
-    entry.insert(entry.end(), inner.begin(), inner.end());
-    encoded.push_back(std::move(entry));
-  }
-  return encodeEnvelope(FrameBatcher::kMagicV3, header, encoded);
+  ByteWriter out;
+  out.u16(kMagicV3);
+  out.u32(header.readerId);
+  out.u32(header.seq);
+  out.u16(static_cast<std::uint16_t>(messages.size()));
+  for (const Message& m : messages) appendTracedEntry(out, m);
+  out.u32(phy::crc32(out.bytes()));
+  return out.take();
 }
 
-caraoke::Result<DecodedBatch> decodeBatch(const std::vector<std::uint8_t>& bytes,
-                                          BatchDecodePolicy policy) {
+caraoke::Result<DecodedBatch> decodeBatch(std::span<const std::uint8_t> bytes) {
   using R = caraoke::Result<DecodedBatch>;
-  const bool strict = policy == BatchDecodePolicy::kStrict;
-  if (bytes.size() < 4) return R::failure("truncated batch header");
-  const std::uint16_t magic =
-      static_cast<std::uint16_t>(bytes[0] | (bytes[1] << 8));
+  std::uint16_t magic = 0;
+  if (!ByteReader(bytes).u16(magic))
+    return R::failure("truncated batch header");
+  if (magic != kMagicV3) return R::failure("bad batch magic");
+  if (bytes.size() < kHeaderBytes + kCrcBytes)
+    return R::failure("truncated batch header");
+  const auto body = bytes.first(bytes.size() - kCrcBytes);
+  std::uint32_t stored = 0;
+  ByteReader(bytes.last(kCrcBytes)).u32(stored);
+  if (stored != phy::crc32(body)) return R::failure("batch crc mismatch");
 
   DecodedBatch out;
-  std::size_t cursor = 2;
-  std::size_t end = bytes.size();
   std::uint16_t count = 0;
-  // v3 entries carry a 16-byte trace prefix before the message payload.
-  const bool traced = magic == FrameBatcher::kMagicV3;
-  if (magic == FrameBatcher::kMagicV2 || traced) {
-    // Envelope: readerId + seq after the magic, crc32 trailer at the end.
-    if (bytes.size() < 16) return R::failure("truncated batch header");
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(bytes[bytes.size() - 4]) |
-        (static_cast<std::uint32_t>(bytes[bytes.size() - 3]) << 8) |
-        (static_cast<std::uint32_t>(bytes[bytes.size() - 2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[bytes.size() - 1]) << 24);
-    const std::uint32_t computed = phy::crc32(
-        std::span<const std::uint8_t>(bytes.data(), bytes.size() - 4));
-    if (stored != computed) return R::failure("batch crc mismatch");
-    auto u32At = [&](std::size_t at) {
-      return static_cast<std::uint32_t>(bytes[at]) |
-             (static_cast<std::uint32_t>(bytes[at + 1]) << 8) |
-             (static_cast<std::uint32_t>(bytes[at + 2]) << 16) |
-             (static_cast<std::uint32_t>(bytes[at + 3]) << 24);
-    };
-    out.hasHeader = true;
-    out.header.readerId = u32At(2);
-    out.header.seq = u32At(6);
-    count = static_cast<std::uint16_t>(bytes[10] | (bytes[11] << 8));
-    cursor = 12;
-    end = bytes.size() - 4;
-  } else if (magic == FrameBatcher::kMagic) {
-    count = static_cast<std::uint16_t>(bytes[2] | (bytes[3] << 8));
-    cursor = 4;
-  } else {
-    return R::failure("bad batch magic");
-  }
-
+  ByteReader in(body.subspan(sizeof magic));
+  in.u32(out.header.readerId);
+  in.u32(out.header.seq);
+  in.u16(count);
   for (std::uint16_t i = 0; i < count; ++i) {
-    if (cursor + 2 > end) {
-      if (strict) return R::failure("truncated batch");
-      out.droppedMessages += static_cast<std::size_t>(count - i);
-      cursor = end;
-      break;
-    }
-    const std::size_t len =
-        bytes[cursor] | (static_cast<std::size_t>(bytes[cursor + 1]) << 8);
-    cursor += 2;
-    if (cursor + len > end) {
-      if (strict) return R::failure("truncated message");
-      out.droppedMessages += static_cast<std::size_t>(count - i);
-      cursor = end;
-      break;
-    }
-    obs::TraceContext trace;
-    std::size_t innerStart = cursor;
-    if (traced) {
-      if (len < FrameBatcher::kTracePrefixBytes) {
-        if (strict) return R::failure("truncated trace prefix");
+    Message message;
+    switch (readTracedEntry(in, message)) {
+      case EntryRead::kOk:
+        out.messages.push_back(std::move(message));
+        break;
+      case EntryRead::kDamaged:
         ++out.droppedMessages;
-        cursor += len;
-        continue;
-      }
-      auto u64At = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (int b = 7; b >= 0; --b)
-          v = (v << 8) | bytes[at + static_cast<std::size_t>(b)];
-        return v;
-      };
-      trace.traceId = u64At(cursor);
-      trace.spanId = u64At(cursor + 8);
-      innerStart = cursor + FrameBatcher::kTracePrefixBytes;
+        break;
+      case EntryRead::kTruncated:
+        out.droppedMessages += static_cast<std::size_t>(count - i);
+        return out;
     }
-    std::vector<std::uint8_t> inner(
-        bytes.begin() + static_cast<long>(innerStart),
-        bytes.begin() + static_cast<long>(cursor + len));
-    cursor += len;
-    auto decoded = decodeMessage(inner);
-    if (!decoded.ok()) {
-      if (strict)
-        return R::failure("bad inner message: " + decoded.error());
-      ++out.droppedMessages;
-      continue;
-    }
-    Message message = decoded.value();
-    if (traced) setMessageTrace(message, trace);
-    out.messages.push_back(std::move(message));
   }
-  if (cursor != end) {
-    if (strict) return R::failure("trailing bytes in batch");
-    ++out.droppedMessages;  // unclaimed fragment: something was lost
-  }
+  // An unclaimed fragment: something was lost.
+  if (!in.atEnd()) ++out.droppedMessages;
   return out;
 }
 

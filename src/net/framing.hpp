@@ -2,120 +2,80 @@
 // kbits per query and keeps the LTE modem asleep most of the time by
 // batching many messages into one transmission burst.
 //
-// Batch wire formats (little-endian):
-//   v1 (magic 0xCA0C):
-//     [magic u16] [count u16] { [len u16] [message bytes] } x count
-//   v2 (magic 0xCA0D):
-//     [magic u16] [readerId u32] [seq u32] [count u16]
-//     { [len u16] [message bytes] } x count [crc32 u32]
-//   v3 (magic 0xCA0E):
-//     [magic u16] [readerId u32] [seq u32] [count u16]
-//     { [len u16] [traceId u64] [spanId u64] [message bytes] } x count
-//     [crc32 u32]
+// Batch wire format, v3 (little-endian):
+//   [magic u16 = 0xCA0E] [readerId u32] [seq u32] [count u16]
+//   { [len u16] [traceId u64] [spanId u64] [message bytes] } x count
+//   [crc32 u32]
 //
-// v2 adds the store-and-forward envelope (reader id + per-batch sequence
-// number, so the backend can ack, dedup retransmissions, and account for
-// gaps) and a CRC-32 trailer over everything before it, so bit corruption
-// on the lossy uplink is *detected* rather than discovered by parse luck.
-// v3 prefixes every entry with the originating trace context (16 bytes,
-// covered by `len` and the CRC) so backend spans can join the reader's
-// trace; the inner message payload is unchanged from v1/v2. Decoders
-// accept all three versions; v1/v2 remain for pre-envelope / pre-trace
-// peers, whose messages simply decode with traceId 0.
+// The header names the sending reader and the batch's place in that
+// reader's sequence space, so the backend can ack, dedup
+// retransmissions, and account for gaps. The CRC-32 trailer covers
+// everything before it, so bit corruption on the lossy uplink is
+// *detected* rather than discovered by parse luck. Every entry carries
+// the originating trace context (16 bytes, covered by `len` and the
+// CRC) so backend spans can join the reader's trace. Any other magic is
+// rejected.
+//
+// The traced entry is this module's: the backend snapshot file stores
+// its reports with the same entry codec (appendTracedEntry /
+// readTracedEntry), so the two layouts cannot drift apart.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/message.hpp"
 
 namespace caraoke::net {
 
-/// v2 envelope header: who sent the batch and where it sits in that
+/// The batch envelope magic number.
+inline constexpr std::uint16_t kMagicV3 = 0xCA0E;
+/// Bytes of trace context (traceId + spanId) ahead of each entry's
+/// message payload.
+inline constexpr std::size_t kTracePrefixBytes = 16;
+
+/// Envelope header: who sent the batch and where it sits in that
 /// reader's sequence space (seq starts at 1 and increments per batch).
 struct BatchHeader {
   std::uint32_t readerId = 0;
   std::uint32_t seq = 0;
 };
 
-/// Accumulates messages and emits them as one framed batch.
-class FrameBatcher {
- public:
-  /// Queue one message for the next flush.
-  void add(const Message& message);
+/// Append one traced entry, [len u16][traceId u64][spanId u64][message],
+/// where `len` counts the trace prefix plus the message bytes.
+void appendTracedEntry(ByteWriter& out, const Message& message);
 
-  /// Messages currently queued.
-  std::size_t pending() const { return encoded_.size(); }
-
-  /// Bytes the next legacy flush() would transmit (including batch
-  /// header). Add kEnvelopeOverheadBytes for the v2 flush(header) form.
-  std::size_t byteSize() const;
-
-  /// Serialize everything queued as a legacy v1 frame and clear the
-  /// queue. An empty queue yields an empty vector (nothing to send), not
-  /// a header-only batch.
-  std::vector<std::uint8_t> flush();
-
-  /// Serialize everything queued as a v2 envelope frame (header +
-  /// CRC-32 trailer) and clear the queue. Empty queue -> empty vector.
-  std::vector<std::uint8_t> flush(const BatchHeader& header);
-
-  /// The legacy batch magic number.
-  static constexpr std::uint16_t kMagic = 0xCA0C;
-  /// The envelope (v2) batch magic number.
-  static constexpr std::uint16_t kMagicV2 = 0xCA0D;
-  /// The traced-envelope (v3) batch magic number.
-  static constexpr std::uint16_t kMagicV3 = 0xCA0E;
-  /// Extra bytes a v2 frame carries over v1: readerId + seq + crc32.
-  static constexpr std::size_t kEnvelopeOverheadBytes = 12;
-  /// Extra bytes each v3 entry carries over v2: traceId + spanId.
-  static constexpr std::size_t kTracePrefixBytes = 16;
-
- private:
-  std::vector<std::vector<std::uint8_t>> encoded_;
+/// What readTracedEntry found at the reader's position.
+enum class EntryRead {
+  kOk,         ///< `out` holds the message, its trace stamped on.
+  kDamaged,    ///< The entry is framed but undecodable; stepped past.
+  kTruncated,  ///< The entry runs past the end of the input.
 };
 
-/// Encode a v2 envelope frame directly from messages. Unlike
-/// FrameBatcher::flush, an empty message list is legal and yields a
+/// Read one traced entry (see appendTracedEntry).
+EntryRead readTracedEntry(ByteReader& in, Message& out);
+
+/// Encode a batch frame. An empty message list is legal and yields a
 /// count=0 frame — the store-and-forward outbox uses this to keep a
 /// reader's sequence space dense when shedding empties a batch.
-std::vector<std::uint8_t> encodeBatchV2(const BatchHeader& header,
-                                        const std::vector<Message>& messages);
-
-/// Encode a v3 traced-envelope frame: like encodeBatchV2 (empty list is
-/// legal), plus each entry carries the message's traceId/spanId fields
-/// in a 16-byte prefix covered by the entry length and the CRC trailer.
 std::vector<std::uint8_t> encodeBatchV3(const BatchHeader& header,
                                         const std::vector<Message>& messages);
-
-/// How decodeBatch treats a batch whose envelope parsed but whose inner
-/// messages are damaged.
-enum class BatchDecodePolicy {
-  /// Skip undecodable inner messages, return the siblings that parsed
-  /// plus a count of what was lost (the production posture: one corrupt
-  /// message must not destroy the rest of the batch).
-  kSalvage,
-  /// Any inner damage fails the whole batch (the pre-robustness
-  /// behaviour, kept for tests that want to assert it).
-  kStrict,
-};
 
 /// What decodeBatch recovered.
 struct DecodedBatch {
   std::vector<Message> messages;
   /// Inner messages (or trailing fragments) that could not be decoded
-  /// and were skipped. Always 0 in strict mode (damage fails instead).
+  /// and were skipped.
   std::size_t droppedMessages = 0;
-  /// True for v2 frames; header then carries readerId/seq.
-  bool hasHeader = false;
   BatchHeader header{};
 };
 
-/// Parse a batch (either wire version) back into messages. Fails on bad
-/// magic, a truncated header, or a CRC-32 mismatch (v2); inner-message
-/// damage is salvaged or fatal per the policy.
-caraoke::Result<DecodedBatch> decodeBatch(
-    const std::vector<std::uint8_t>& bytes,
-    BatchDecodePolicy policy = BatchDecodePolicy::kSalvage);
+/// Parse a batch frame back into messages. Fails on a bad magic, a
+/// truncated header, or a CRC-32 mismatch. Damaged inner messages are
+/// salvaged: skipped and counted in droppedMessages while their intact
+/// siblings survive, because one corrupt message must not destroy the
+/// rest of the batch.
+caraoke::Result<DecodedBatch> decodeBatch(std::span<const std::uint8_t> bytes);
 
 /// Modem air-time estimate for a batch at a given uplink rate [bit/s] —
 /// the quantity the §12.5 footnote's duty-cycling argument depends on.

@@ -1,6 +1,9 @@
 #include "net/message.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <initializer_list>
 
 namespace caraoke::net {
 
@@ -20,39 +23,35 @@ void ByteWriter::f64(double v) {
   u64(bits);
 }
 
-bool ByteReader::take(std::size_t n, const std::uint8_t** out) {
-  if (cursor_ + n > buffer_.size()) return false;
-  *out = buffer_.data() + cursor_;
+void ByteWriter::raw(std::span<const std::uint8_t> bytes) {
+  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+}
+
+bool ByteReader::take(std::size_t n, std::span<const std::uint8_t>& out) {
+  if (n > bytes_.size() - cursor_) return false;
+  out = bytes_.subspan(cursor_, n);
   cursor_ += n;
   return true;
 }
-bool ByteReader::u8(std::uint8_t& v) {
-  const std::uint8_t* p;
-  if (!take(1, &p)) return false;
-  v = p[0];
-  return true;
-}
-bool ByteReader::u16(std::uint16_t& v) {
-  const std::uint8_t* p;
-  if (!take(2, &p)) return false;
+
+namespace {
+
+template <typename T>
+bool readLittleEndian(ByteReader& r, T& v) {
+  std::span<const std::uint8_t> p;
+  if (!r.take(sizeof(T), p)) return false;
   v = 0;
-  for (int i = 1; i >= 0; --i) v = static_cast<std::uint16_t>((v << 8) | p[i]);
+  for (std::size_t i = sizeof(T); i-- > 0;)
+    v = static_cast<T>((static_cast<std::uint64_t>(v) << 8) | p[i]);
   return true;
 }
-bool ByteReader::u32(std::uint32_t& v) {
-  const std::uint8_t* p;
-  if (!take(4, &p)) return false;
-  v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return true;
-}
-bool ByteReader::u64(std::uint64_t& v) {
-  const std::uint8_t* p;
-  if (!take(8, &p)) return false;
-  v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return true;
-}
+
+}  // namespace
+
+bool ByteReader::u8(std::uint8_t& v) { return readLittleEndian(*this, v); }
+bool ByteReader::u16(std::uint16_t& v) { return readLittleEndian(*this, v); }
+bool ByteReader::u32(std::uint32_t& v) { return readLittleEndian(*this, v); }
+bool ByteReader::u64(std::uint64_t& v) { return readLittleEndian(*this, v); }
 bool ByteReader::f64(double& v) {
   std::uint64_t bits;
   if (!u64(bits)) return false;
@@ -61,8 +60,15 @@ bool ByteReader::f64(double& v) {
 }
 
 namespace {
+
 enum class Tag : std::uint8_t { kCount = 1, kSighting = 2, kDecode = 3 };
+
+bool allFinite(std::initializer_list<double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
 }
+
+}  // namespace
 
 obs::TraceContext messageTrace(const Message& message) {
   return std::visit(
@@ -109,8 +115,7 @@ std::vector<std::uint8_t> encodeMessage(const Message& message) {
   return w.bytes();
 }
 
-caraoke::Result<Message> decodeMessage(
-    const std::vector<std::uint8_t>& bytes) {
+caraoke::Result<Message> decodeMessage(std::span<const std::uint8_t> bytes) {
   using R = caraoke::Result<Message>;
   ByteReader r(bytes);
   std::uint8_t tag;
@@ -121,6 +126,8 @@ caraoke::Result<Message> decodeMessage(
       if (!r.u32(m.readerId) || !r.f64(m.timestamp) || !r.u32(m.count))
         return R::failure("truncated CountReport");
       if (!r.atEnd()) return R::failure("trailing bytes in CountReport");
+      if (!allFinite({m.timestamp}))
+        return R::failure("non-finite CountReport field");
       return Message{m};
     }
     case Tag::kSighting: {
@@ -130,6 +137,8 @@ caraoke::Result<Message> decodeMessage(
           !r.f64(m.peakMagnitude))
         return R::failure("truncated SightingReport");
       if (!r.atEnd()) return R::failure("trailing bytes in SightingReport");
+      if (!allFinite({m.timestamp, m.cfoHz, m.angleRad, m.peakMagnitude}))
+        return R::failure("non-finite SightingReport field");
       return Message{m};
     }
     case Tag::kDecode: {
@@ -139,6 +148,8 @@ caraoke::Result<Message> decodeMessage(
           !r.u64(m.id.programmable) || !r.u32(m.id.flags))
         return R::failure("truncated DecodeReport");
       if (!r.atEnd()) return R::failure("trailing bytes in DecodeReport");
+      if (!allFinite({m.timestamp, m.cfoHz}))
+        return R::failure("non-finite DecodeReport field");
       return Message{m};
     }
     default:

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -25,35 +26,38 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void f64(double v);
+  void raw(std::span<const std::uint8_t> bytes);
   const std::vector<std::uint8_t>& bytes() const { return buffer_; }
+  /// Hand the buffer over (the writer is empty afterwards).
+  std::vector<std::uint8_t> take() { return std::move(buffer_); }
 
  private:
   std::vector<std::uint8_t> buffer_;
 };
 
-/// Serialization reader; all reads are bounds-checked.
+/// Bounds-checked little-endian reader over a borrowed byte view; the
+/// bytes must outlive the reader. A failed read consumes nothing.
 class ByteReader {
  public:
-  explicit ByteReader(std::vector<std::uint8_t> bytes)
-      : buffer_(std::move(bytes)) {}
+  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
   bool u8(std::uint8_t& v);
   bool u16(std::uint16_t& v);
   bool u32(std::uint32_t& v);
   bool u64(std::uint64_t& v);
   bool f64(double& v);
-  bool atEnd() const { return cursor_ == buffer_.size(); }
+  /// View the next `n` bytes and step past them.
+  bool take(std::size_t n, std::span<const std::uint8_t>& out);
+  bool atEnd() const { return cursor_ == bytes_.size(); }
 
  private:
-  bool take(std::size_t n, const std::uint8_t** out);
-  std::vector<std::uint8_t> buffer_;
+  std::span<const std::uint8_t> bytes_;
   std::size_t cursor_ = 0;
 };
 
 // Trace provenance (traceId/spanId) on the reports below is carried by
-// the *batch envelope* (v3 entry prefix in net/framing), not by the
-// per-message payload encoding — encodeMessage/decodeMessage ignore the
-// two fields, which is what keeps v1/v2 peers decodable. traceId 0 means
-// "no trace" (pre-v3 sender or tracing disabled).
+// the v3 entry prefix in net/framing, not by the per-message payload
+// encoding — encodeMessage/decodeMessage ignore the two fields. traceId
+// 0 means "no trace" (tracing disabled or an untraced producer).
 
 /// Periodic count sample (traffic monitoring).
 struct CountReport {
@@ -98,7 +102,9 @@ void setMessageTrace(Message& message, const obs::TraceContext& trace);
 /// type, so no length prefix is needed inside a frame.
 std::vector<std::uint8_t> encodeMessage(const Message& message);
 
-/// Parse one framed message. Fails on truncation or an unknown type tag.
-caraoke::Result<Message> decodeMessage(const std::vector<std::uint8_t>& bytes);
+/// Parse one framed message. Fails on truncation, trailing bytes, an
+/// unknown type tag, or a non-finite value in any double field (a NaN
+/// timestamp or angle would poison every comparison downstream).
+caraoke::Result<Message> decodeMessage(std::span<const std::uint8_t> bytes);
 
 }  // namespace caraoke::net

@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "net/framing.hpp"
 #include "phy/crc.hpp"
 
 namespace caraoke::net {
@@ -19,74 +19,6 @@ namespace {
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".snap";
 
-// Report entry: [len u16][traceId u64][spanId u64][encodeMessage bytes],
-// the same shape a v3 batch envelope gives each message.
-void appendReportEntry(std::vector<std::uint8_t>& out, const Message& message) {
-  const obs::TraceContext trace = messageTrace(message);
-  ByteWriter prefix;
-  const std::vector<std::uint8_t> inner = encodeMessage(message);
-  prefix.u16(static_cast<std::uint16_t>(16 + inner.size()));
-  prefix.u64(trace.traceId);
-  prefix.u64(trace.spanId);
-  out.insert(out.end(), prefix.bytes().begin(), prefix.bytes().end());
-  out.insert(out.end(), inner.begin(), inner.end());
-}
-
-// Bounds-checked cursor reads over the snapshot image.
-struct Cursor {
-  std::span<const std::uint8_t> bytes;
-  std::size_t at = 0;
-
-  bool take(std::size_t n, const std::uint8_t** out) {
-    if (bytes.size() - at < n) return false;
-    *out = bytes.data() + at;
-    at += n;
-    return true;
-  }
-  bool u16(std::uint16_t& v) {
-    const std::uint8_t* p;
-    if (!take(2, &p)) return false;
-    v = static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    const std::uint8_t* p;
-    if (!take(4, &p)) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    const std::uint8_t* p;
-    if (!take(8, &p)) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return true;
-  }
-  bool f64(double& v) {
-    std::uint64_t bits;
-    if (!u64(bits)) return false;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&v, &bits, sizeof v);
-    return true;
-  }
-};
-
-bool readReportEntry(Cursor& c, Message& out) {
-  std::uint16_t len = 0;
-  if (!c.u16(len) || len < 16) return false;
-  obs::TraceContext trace;
-  if (!c.u64(trace.traceId) || !c.u64(trace.spanId)) return false;
-  const std::uint8_t* p;
-  if (!c.take(len - 16u, &p)) return false;
-  auto decoded =
-      decodeMessage(std::vector<std::uint8_t>(p, p + (len - 16u)));
-  if (!decoded.ok()) return false;
-  out = decoded.value();
-  setMessageTrace(out, trace);
-  return true;
-}
-
 bool fsyncPath(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
@@ -94,7 +26,6 @@ bool fsyncPath(const std::string& path) {
   ::close(fd);
   return ok;
 }
-
 
 /// Parse `snapshot-<seq>.snap`; false for anything else (tmp files,
 /// the WAL, strangers).
@@ -137,68 +68,50 @@ std::string snapshotFileName(std::uint64_t seq) {
 }
 
 std::vector<std::uint8_t> encodeSnapshot(const BackendSnapshot& snapshot) {
-  ByteWriter header;
-  header.u16(kSnapshotMagic);
-  header.u16(kSnapshotVersion);
-  header.u64(snapshot.walOffset);
-  std::vector<std::uint8_t> out = header.bytes();
+  ByteWriter out;
+  out.u16(kSnapshotMagic);
+  out.u16(kSnapshotVersion);
+  out.u64(snapshot.walOffset);
 
-  {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(snapshot.seq.size()));
-    for (const ReaderSeqRecord& r : snapshot.seq) {
-      w.u32(r.readerId);
-      w.u32(r.maxSeq);
-      w.u32(static_cast<std::uint32_t>(r.seen.size()));
-      for (const std::uint32_t s : r.seen) w.u32(s);
-    }
-    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+  out.u32(static_cast<std::uint32_t>(snapshot.seq.size()));
+  for (const ReaderSeqRecord& r : snapshot.seq) {
+    out.u32(r.readerId);
+    out.u32(r.maxSeq);
+    out.u32(static_cast<std::uint32_t>(r.seen.size()));
+    for (const std::uint32_t s : r.seen) out.u32(s);
   }
 
   auto appendSection = [&out](auto const& reports) {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(reports.size()));
-    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
-    for (const auto& report : reports) appendReportEntry(out, Message{report});
+    out.u32(static_cast<std::uint32_t>(reports.size()));
+    for (const auto& report : reports) appendTracedEntry(out, Message{report});
   };
   appendSection(snapshot.sightings);
   appendSection(snapshot.counts);
   appendSection(snapshot.decodes);
 
-  {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(snapshot.speedSamples.size()));
-    for (const SpeedSampleRecord& s : snapshot.speedSamples) {
-      w.u32(s.readerId);
-      w.f64(s.timestamp);
-      w.f64(s.cfoHz);
-      w.f64(s.cosAlpha);
-      w.u64(s.traceId);
-    }
-    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+  out.u32(static_cast<std::uint32_t>(snapshot.speedSamples.size()));
+  for (const SpeedSampleRecord& s : snapshot.speedSamples) {
+    out.u32(s.readerId);
+    out.f64(s.timestamp);
+    out.f64(s.cfoHz);
+    out.f64(s.cosAlpha);
+    out.u64(s.traceId);
   }
 
-  const std::uint32_t crc = phy::crc32(out);
-  ByteWriter trailer;
-  trailer.u32(crc);
-  out.insert(out.end(), trailer.bytes().begin(), trailer.bytes().end());
-  return out;
+  out.u32(phy::crc32(out.bytes()));
+  return out.take();
 }
 
 caraoke::Result<BackendSnapshot> decodeSnapshot(
     std::span<const std::uint8_t> bytes) {
   using R = caraoke::Result<BackendSnapshot>;
   if (bytes.size() < 16) return R::failure("truncated snapshot");
-  const std::uint32_t stored =
-      static_cast<std::uint32_t>(bytes[bytes.size() - 4]) |
-      (static_cast<std::uint32_t>(bytes[bytes.size() - 3]) << 8) |
-      (static_cast<std::uint32_t>(bytes[bytes.size() - 2]) << 16) |
-      (static_cast<std::uint32_t>(bytes[bytes.size() - 1]) << 24);
-  const std::uint32_t computed = phy::crc32(
-      std::span<const std::uint8_t>(bytes.data(), bytes.size() - 4));
-  if (stored != computed) return R::failure("snapshot crc mismatch");
+  const auto body = bytes.first(bytes.size() - 4);
+  std::uint32_t stored = 0;
+  ByteReader(bytes.last(4)).u32(stored);
+  if (stored != phy::crc32(body)) return R::failure("snapshot crc mismatch");
 
-  Cursor c{bytes.first(bytes.size() - 4)};
+  ByteReader c(body);
   std::uint16_t magic = 0;
   std::uint16_t version = 0;
   BackendSnapshot out;
@@ -233,7 +146,7 @@ caraoke::Result<BackendSnapshot> decodeSnapshot(
     }
     for (std::uint32_t i = 0; i < n; ++i) {
       Message m;
-      if (!readReportEntry(c, m)) {
+      if (readTracedEntry(c, m) != EntryRead::kOk) {
         *error = "bad snapshot report entry";
         return false;
       }
@@ -260,7 +173,7 @@ caraoke::Result<BackendSnapshot> decodeSnapshot(
       return R::failure("truncated snapshot speed sample");
     out.speedSamples.push_back(s);
   }
-  if (c.at != c.bytes.size()) return R::failure("trailing bytes in snapshot");
+  if (!c.atEnd()) return R::failure("trailing bytes in snapshot");
   return out;
 }
 

@@ -12,16 +12,16 @@
 //
 //   [magic u16 = 0xCA5E] [version u16 = 1] [walOffset u64]
 //   [readers u32] { readerId u32, maxSeq u32, n u32, seq u32 x n } ...
-//   [sightings u32] { traceId u64, spanId u64, encodeMessage bytes } ...
+//   [sightings u32] { len u16, traceId u64, spanId u64, message } ...
 //   [counts u32]    { same entry shape } ...
 //   [decodes u32]   { same entry shape } ...
 //   [speed u32] { readerId u32, t f64, cfo f64, cosAlpha f64,
 //                 traceId u64 } ...
 //   [crc32 u32]
 //
-// Report entries reuse net/message's encodeMessage with the v3
-// envelope's 16-byte trace prefix (length-prefixed per entry), so the
-// snapshot codec can never drift from the wire codec's field layout.
+// Report entries are net/framing's traced entries, written and read by
+// the same codec as the batch envelope's, so the snapshot can never
+// drift from the wire layout.
 //
 // Durability of the file itself: writeSnapshotFile writes to a `.tmp`
 // sibling, fsyncs, renames into place, and fsyncs the directory — a
@@ -42,7 +42,7 @@
 namespace caraoke::net {
 
 /// Snapshot file framing magic (registered in tools/caraoke_lint.py's
-/// wireversion baseline alongside the batch envelope magics).
+/// wireversion baseline alongside the batch envelope magic).
 inline constexpr std::uint16_t kSnapshotMagic = 0xCA5E;
 inline constexpr std::uint16_t kSnapshotVersion = 1;
 

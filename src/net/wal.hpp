@@ -9,7 +9,7 @@
 //   record := [magic u16 = 0xCA1F] [len u32] [payload bytes x len]
 //             [crc32 u32 over magic..payload]
 //
-// The reader's contract mirrors the salvage-decode posture of the v2
+// The reader's contract mirrors the salvage-decode posture of the
 // batch envelope (and the collision-recovery philosophy in PAPERS.md):
 // recover every intact record, never abort the whole log for one bad
 // byte. A torn tail (the append in flight when the process died) or a

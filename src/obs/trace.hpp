@@ -32,7 +32,7 @@ double monotonicSeconds();
 /// Cross-process trace identity: a traceId names one end-to-end journey
 /// (minted per ReaderDaemon query burst) and spanId names the minting
 /// span within it. traceId 0 means "no trace" so that zero-initialized
-/// records and pre-v3 wire peers degrade gracefully.
+/// records and untraced producers degrade gracefully.
 struct TraceContext {
   std::uint64_t traceId = 0;
   std::uint64_t spanId = 0;

@@ -88,13 +88,10 @@ TEST(UplinkLink, BitFlipsCaughtByEnvelopeCrc) {
   config.latencyMeanSec = 0.0;
   net::UplinkLink link(config, Rng(3));
   std::size_t crcRejects = 0;
-  for (int i = 0; i < 50; ++i) {
-    net::FrameBatcher batcher;
-    batcher.add(net::Message{net::CountReport{1, i * 1.0, 3}});
-    link.send(batcher.flush(net::BatchHeader{1, static_cast<std::uint32_t>(
-                                                    i + 1)}),
+  for (int i = 0; i < 50; ++i)
+    link.send(net::encodeBatchV3({1, static_cast<std::uint32_t>(i + 1)},
+                                 {net::CountReport{1, i * 1.0, 3}}),
               0.0);
-  }
   for (const auto& frame : link.deliver(1.0))
     if (!net::decodeBatch(frame).ok()) ++crcRejects;
   EXPECT_GT(link.stats().corrupted, 0u);
@@ -255,7 +252,7 @@ TEST(Outbox, WholeBatchDropIsLastResortAndKeepsSeqDense) {
 TEST(Backend, DedupsRetransmissionsAndAccountsGaps) {
   net::Backend backend;
   auto frameWith = [](std::uint32_t seq, std::uint32_t count) {
-    return net::encodeBatchV2({5, seq},
+    return net::encodeBatchV3({5, seq},
                               {net::Message{net::CountReport{5, 1.0, count}}});
   };
 
@@ -291,21 +288,21 @@ TEST(Backend, DedupsRetransmissionsAndAccountsGaps) {
   EXPECT_EQ(backend.highestSeq(5), 3u);
 }
 
-TEST(Backend, SalvagesDamagedV1BatchMembers) {
-  // A v1 frame (no CRC) with one poisoned inner message: the backend
-  // keeps the siblings and reports the loss instead of discarding all.
-  net::FrameBatcher batcher;
-  batcher.add(net::Message{net::CountReport{1, 1.0, 1}});
-  batcher.add(net::Message{net::CountReport{1, 2.0, 2}});
-  auto bytes = batcher.flush();
-  bytes[6] ^= 0xFF;  // first inner message's type tag
+TEST(Backend, SalvagesDamagedBatchMembers) {
+  // A CRC-valid frame with one poisoned inner message: the backend keeps
+  // the siblings, reports the loss instead of discarding all, and still
+  // acks the batch (its seq is intact).
+  auto bytes = net::encodeBatchV3({1, 1}, {countMsg(1, 1.0, 1),
+                                           countMsg(1, 2.0, 2)});
+  // First inner message's type tag: header 12 + len 2 + trace prefix.
+  bytes[14 + net::kTracePrefixBytes] ^= 0xFF;
 
   net::Backend backend;
-  const auto result = backend.ingestBatch(bytes);
+  const auto result = backend.ingestBatch(testhelpers::reseal(bytes));
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_EQ(result.value().accepted, 1u);
   EXPECT_EQ(result.value().droppedMessages, 1u);
-  EXPECT_FALSE(result.value().hasAck);  // v1 has no seq to ack
+  EXPECT_TRUE(result.value().hasAck);
   ASSERT_EQ(backend.counts().size(), 1u);
   EXPECT_EQ(backend.counts()[0].count, 2u);
 }
@@ -363,12 +360,22 @@ TEST(ReaderDaemon, KeepsRunningWhenNtpSyncIsLate) {
   config.ntpPeriodSec = 1e9;  // initial sync only, then never again
   config.uplinkPeriodSec = 5.0;
   apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
-  daemon.runUntil(20.0);
+  testhelpers::LinkPair link;
+  link.attach(daemon);
+  net::Backend backend;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (double t = 1.0; t <= 20.0; t += 1.0) {
+    daemon.runUntil(t);
+    for (auto& frame : link.pump(backend, t))
+      frames.push_back(std::move(frame));
+  }
 
   EXPECT_GE(daemon.stats().measurements, 20u);
-  for (const auto& frame : daemon.takeUplink()) {
+  ASSERT_FALSE(frames.empty());
+  for (const auto& frame : frames) {
     const auto decoded = net::decodeBatch(frame);
     ASSERT_TRUE(decoded.ok()) << decoded.error();
+    EXPECT_EQ(decoded.value().droppedMessages, 0u);  // nothing non-finite
     for (const auto& m : decoded.value().messages) {
       if (const auto* s = std::get_if<net::SightingReport>(&m)) {
         EXPECT_TRUE(std::isfinite(s->timestamp));
@@ -377,6 +384,40 @@ TEST(ReaderDaemon, KeepsRunningWhenNtpSyncIsLate) {
       }
     }
   }
+}
+
+TEST(ReaderDaemon, NoLinkSendsNothingUntilOneIsAttached) {
+  // Without a link the daemon transmits nothing and acks nothing: its
+  // sealed batches wait in the outbox. The first tick after a link is
+  // attached delivers all of them.
+  Rng rng(13);
+  sim::Scene scene = plazaScene(rng, 2);
+  apps::ReaderDaemonConfig config;
+  config.queriesPerWindow = 4;
+  config.uplinkPeriodSec = 5.0;
+  apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
+  daemon.runUntil(20.0);
+
+  // Seals at t = 0, 5, 10, 15, 20: five batches held, none sent or acked.
+  obs::Registry& reg = daemon.registry();
+  EXPECT_EQ(daemon.outbox().pendingBatches(), 5u);
+  EXPECT_EQ(daemon.stats().uplinkFlushes, 0u);
+  EXPECT_EQ(daemon.stats().uplinkBytes, 0u);
+  EXPECT_EQ(reg.counter("daemon.outbox.transmissions").value(), 0u);
+  EXPECT_EQ(reg.counter("daemon.outbox.acked").value(), 0u);
+  EXPECT_EQ(daemon.health(), apps::UplinkHealth::kHealthy);
+
+  testhelpers::LinkPair link;
+  link.attach(daemon);
+  net::Backend backend;
+  daemon.runUntil(21.0);  // not a flush-period multiple: no new seal
+  EXPECT_EQ(link.pump(backend, 21.0).size(), 5u);
+  EXPECT_EQ(backend.highestSeq(config.readerId), 5u);
+  EXPECT_EQ(backend.gapCount(config.readerId), 0u);
+  daemon.runUntil(22.0);  // reads the acks
+  EXPECT_EQ(daemon.outbox().pendingBatches(), 0u);
+  EXPECT_EQ(reg.counter("daemon.outbox.acked").value(), 5u);
+  EXPECT_EQ(daemon.stats().uplinkRetries, 0u);
 }
 
 // --------------------------------------------------------- the big one --
@@ -411,10 +452,8 @@ TEST(Chaos, TwoReaderPlazaSurvivesOutageExactlyOnce) {
   net::FaultPlan outage;
   outage.outages.push_back({100.0, 160.0});  // 60 s of darkness
 
-  net::UplinkLink up1(lossy, Rng(101), outage);
-  net::UplinkLink down1(lossy, Rng(102), outage);
-  net::UplinkLink up2(lossy, Rng(201), outage);
-  net::UplinkLink down2(lossy, Rng(202), outage);
+  testhelpers::LinkPair link1(lossy, 101, outage);
+  testhelpers::LinkPair link2(lossy, 201, outage);
 
   apps::ReaderDaemonConfig config;
   config.queriesPerWindow = 4;
@@ -428,10 +467,10 @@ TEST(Chaos, TwoReaderPlazaSurvivesOutageExactlyOnce) {
 
   config.readerId = 1;
   apps::ReaderDaemon d1(config, scene, 0, rng.fork());
-  d1.attachUplink(&up1, &down1);
+  link1.attach(d1);
   config.readerId = 2;
   apps::ReaderDaemon d2(config, scene, 1, rng.fork());
-  d2.attachUplink(&up2, &down2);
+  link2.attach(d2);
 
   net::Backend backend;
 
@@ -440,14 +479,8 @@ TEST(Chaos, TwoReaderPlazaSurvivesOutageExactlyOnce) {
   for (double t = 1.0; t <= 260.0; t += 1.0) {
     d1.runUntil(t);
     d2.runUntil(t);
-    for (auto* up : {&up1, &up2}) {
-      net::UplinkLink* down = (up == &up1) ? &down1 : &down2;
-      for (const auto& frame : up->deliver(t)) {
-        const auto result = backend.ingestBatch(frame);
-        if (result.ok() && result.value().hasAck)
-          down->send(result.value().ack, t);
-      }
-    }
+    link1.pump(backend, t);
+    link2.pump(backend, t);
     if (t > 120.0 && t < 160.0) {
       // Mid-outage: the watchdog must have noticed by now.
       EXPECT_NE(d1.health(), apps::UplinkHealth::kHealthy) << "t=" << t;
@@ -455,29 +488,32 @@ TEST(Chaos, TwoReaderPlazaSurvivesOutageExactlyOnce) {
     }
   }
 
-  // Quiesce phase: detach the lossy links (legacy mode delivers via
-  // takeUplink and self-acks) so the tail of the stream — still-pending
-  // retries and the final sealed batch — lands losslessly before the
-  // exactly-once audit. 285 is a flush-period multiple, so the last seal
-  // captures the last measurement window.
-  d1.attachUplink(nullptr, nullptr);
-  d2.attachUplink(nullptr, nullptr);
+  // Quiesce phase: swap in fresh lossless links so the tail of the
+  // stream — still-pending retries and the final sealed batch — lands
+  // before the exactly-once audit. 285 is a flush-period multiple, so the
+  // last seal captures the last measurement window.
+  testhelpers::LinkPair quiet1;
+  testhelpers::LinkPair quiet2;
+  quiet1.attach(d1);
+  quiet2.attach(d2);
   for (double t = 261.0; t <= 285.0; t += 1.0) {
     d1.runUntil(t);
     d2.runUntil(t);
-    for (auto* daemon : {&d1, &d2})
-      for (const auto& frame : daemon->takeUplink())
-        ASSERT_TRUE(backend.ingestBatch(frame).ok());
-    // Stragglers still in the pipe from the chaos phase: the backend
-    // dedups whatever the legacy path already delivered.
-    for (auto* up : {&up1, &up2})
-      for (const auto& frame : up->deliver(t)) (void)backend.ingestBatch(frame);
+    quiet1.pump(backend, t);
+    quiet2.pump(backend, t);
+    // Stragglers still in the lossy pipes from the chaos phase: the
+    // backend dedups whatever the lossless links already delivered.
+    for (auto* link : {&link1, &link2})
+      for (const auto& frame : link->up.deliver(t))
+        (void)backend.ingestBatch(frame);
   }
+  quiet1.shutdown(d1, backend, 285.0);
+  quiet2.shutdown(d2, backend, 285.0);
 
   // ---- chaos actually happened ---------------------------------------
-  EXPECT_GT(up1.stats().dropped + up2.stats().dropped, 0u);
-  EXPECT_GT(up1.stats().corrupted + up2.stats().corrupted, 0u);
-  EXPECT_GT(up1.stats().outageDrops + up2.stats().outageDrops, 0u);
+  EXPECT_GT(link1.up.stats().dropped + link2.up.stats().dropped, 0u);
+  EXPECT_GT(link1.up.stats().corrupted + link2.up.stats().corrupted, 0u);
+  EXPECT_GT(link1.up.stats().outageDrops + link2.up.stats().outageDrops, 0u);
   EXPECT_GT(d1.stats().uplinkRetries + d2.stats().uplinkRetries, 0u);
   EXPECT_GT(backendBefore("net.backend.duplicate_batches"), dupsBefore);
   EXPECT_GT(backendBefore("net.backend.seq_gaps_opened"), gapsBefore);
@@ -556,8 +592,7 @@ TEST(Chaos, OutboxPressureShedsOnlyCounts) {
   lossy.bitFlipPerBit = 1e-4;
   net::FaultPlan outage;
   outage.outages.push_back({30.0, 150.0});  // 120 s: real buffer pressure
-  net::UplinkLink up(lossy, Rng(301), outage);
-  net::UplinkLink down(lossy, Rng(302), outage);
+  testhelpers::LinkPair link(lossy, 301, outage);
 
   apps::ReaderDaemonConfig config;
   config.readerId = 1;
@@ -574,27 +609,25 @@ TEST(Chaos, OutboxPressureShedsOnlyCounts) {
   config.outbox.maxBufferedBytes = 19 * 512;  // 9.5 KB
 
   apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
-  daemon.attachUplink(&up, &down);
+  link.attach(daemon);
   net::Backend backend;
 
   for (double t = 1.0; t <= 150.0; t += 1.0) {
     daemon.runUntil(t);
-    for (const auto& frame : up.deliver(t)) {
-      const auto result = backend.ingestBatch(frame);
-      if (result.ok() && result.value().hasAck)
-        down.send(result.value().ack, t);
-    }
+    link.pump(backend, t);
   }
 
   // Quiesce (see TwoReaderPlazaSurvivesOutageExactlyOnce): flush the
   // tail losslessly, then audit.
-  daemon.attachUplink(nullptr, nullptr);
+  testhelpers::LinkPair quiet;
+  quiet.attach(daemon);
   for (double t = 151.0; t <= 180.0; t += 1.0) {
     daemon.runUntil(t);
-    for (const auto& frame : daemon.takeUplink())
-      ASSERT_TRUE(backend.ingestBatch(frame).ok());
-    for (const auto& frame : up.deliver(t)) (void)backend.ingestBatch(frame);
+    quiet.pump(backend, t);
+    for (const auto& frame : link.up.deliver(t))
+      (void)backend.ingestBatch(frame);
   }
+  quiet.shutdown(daemon, backend, 180.0);
 
   obs::Registry& reg = daemon.registry();
   EXPECT_GT(reg.counter("daemon.outbox.shed_counts").value(), 0u);

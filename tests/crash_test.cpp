@@ -47,12 +47,12 @@ net::BackendConfig durableConfig(const std::string& dir) {
   return config;
 }
 
-// One v2 batch frame: a count plus a sighting, both keyed to the seq so
+// One batch frame: a count plus a sighting, both keyed to the seq so
 // every batch mutates the state differently.
 std::vector<std::uint8_t> frameWith(std::uint32_t readerId,
                                     std::uint32_t seq) {
   const double t = static_cast<double>(seq);
-  return net::encodeBatchV2(
+  return net::encodeBatchV3(
       {readerId, seq},
       {net::Message{net::CountReport{readerId, t, seq}},
        net::Message{
@@ -282,10 +282,8 @@ TEST(CrashChaos, PlazaExactlyOnceAcrossBackendCrash) {
   lossy.latencyMeanSec = 0.05;
   lossy.latencyJitterSec = 0.02;
 
-  net::UplinkLink up1(lossy, Rng(401));
-  net::UplinkLink down1(lossy, Rng(402));
-  net::UplinkLink up2(lossy, Rng(501));
-  net::UplinkLink down2(lossy, Rng(502));
+  testhelpers::LinkPair link1(lossy, 401);
+  testhelpers::LinkPair link2(lossy, 501);
 
   apps::ReaderDaemonConfig config;
   config.queriesPerWindow = 4;
@@ -299,10 +297,10 @@ TEST(CrashChaos, PlazaExactlyOnceAcrossBackendCrash) {
 
   config.readerId = 1;
   apps::ReaderDaemon d1(config, scene, 0, rng.fork());
-  d1.attachUplink(&up1, &down1);
+  link1.attach(d1);
   config.readerId = 2;
   apps::ReaderDaemon d2(config, scene, 1, rng.fork());
-  d2.attachUplink(&up2, &down2);
+  link2.attach(d2);
 
   // Generation 1: durable, fsync-every-append, and doomed — the 14th WAL
   // append (mid-stream, ~t=35) tears and the process is dead weight
@@ -312,17 +310,10 @@ TEST(CrashChaos, PlazaExactlyOnceAcrossBackendCrash) {
   auto backend = std::make_unique<net::Backend>(genOneConfig);
   ASSERT_TRUE(backend->restore().ok());
 
-  std::size_t dedupsAfterRestore = 0;
+  // Corrupt frames and frames the dead backend refuses go unacked.
   const auto pump = [&](double t) {
-    for (auto* up : {&up1, &up2}) {
-      net::UplinkLink* down = (up == &up1) ? &down1 : &down2;
-      for (const auto& frame : up->deliver(t)) {
-        const auto result = backend->ingestBatch(frame);
-        if (!result.ok()) continue;  // corrupt frame or dead/dying backend
-        if (result.value().deduplicated) ++dedupsAfterRestore;
-        if (result.value().hasAck) down->send(result.value().ack, t);
-      }
-    }
+    link1.pump(*backend, t);
+    link2.pump(*backend, t);
   };
 
   for (double t = 1.0; t <= 80.0; t += 1.0) {
@@ -337,7 +328,9 @@ TEST(CrashChaos, PlazaExactlyOnceAcrossBackendCrash) {
   // the unacked frames after it are still sitting in the outboxes.
   backend.reset();
   backend = std::make_unique<net::Backend>(durableConfig(dir));
-  dedupsAfterRestore = 0;
+  obs::Counter& dedups =
+      obs::globalRegistry().counter("net.backend.duplicate_batches");
+  const std::uint64_t dedupsAtRestore = dedups.value();
   const auto restored = backend->restore();
   ASSERT_TRUE(restored.ok()) << restored.error();
   EXPECT_GT(restored.value().replayedRecords, 0u);
@@ -349,30 +342,31 @@ TEST(CrashChaos, PlazaExactlyOnceAcrossBackendCrash) {
     pump(t);
   }
 
-  // Quiesce: detach the lossy links and graceful-shutdown-flush both
+  // Quiesce: swap in lossless links and graceful-shutdown-flush both
   // poles (seal immediately, no waiting for the period), so the tail —
   // including anything still pending from the crash window — lands
-  // losslessly before the audit.
-  d1.attachUplink(nullptr, nullptr);
-  d2.attachUplink(nullptr, nullptr);
+  // before the audit.
+  testhelpers::LinkPair quiet1;
+  testhelpers::LinkPair quiet2;
+  quiet1.attach(d1);
+  quiet2.attach(d2);
   for (double t = 201.0; t <= 210.0; t += 1.0) {
     d1.runUntil(t);
     d2.runUntil(t);
+    quiet1.pump(*backend, t);
+    quiet2.pump(*backend, t);
   }
-  d1.shutdownFlush(210.0);
-  d2.shutdownFlush(210.0);
-  for (auto* daemon : {&d1, &d2})
-    for (const auto& frame : daemon->takeUplink())
-      ASSERT_TRUE(backend->ingestBatch(frame).ok());
+  quiet1.shutdown(d1, *backend, 210.0);
+  quiet2.shutdown(d2, *backend, 210.0);
   for (double t = 210.0; t <= 215.0; t += 1.0) pump(t);  // in-flight tail
 
   // ---- the crash was survivable chaos, not a quiet run ---------------
-  EXPECT_GT(up1.stats().dropped + up2.stats().dropped, 0u);
+  EXPECT_GT(link1.up.stats().dropped + link2.up.stats().dropped, 0u);
   EXPECT_GT(d1.stats().uplinkRetries + d2.stats().uplinkRetries, 0u);
   // Batches acked by generation 1 whose acks were lost (downlink drop or
   // the crash itself) were retransmitted and re-acked from the restored
   // dedup map — the satellite-6 invariant, observed in the wild.
-  EXPECT_GT(dedupsAfterRestore, 0u);
+  EXPECT_GT(dedups.value(), dedupsAtRestore);
 
   // ---- exactly-once sightings across the crash -----------------------
   const std::size_t reported =

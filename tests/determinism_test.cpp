@@ -2,9 +2,10 @@
 // invariant tools/caraoke_lint.py guards statically — no ambient
 // randomness, no wall-clock reads in simulation code — checked
 // dynamically. The same seeded two-reader plaza scene, run twice from
-// scratch, must emit byte-identical encoded batch streams; if any
-// component starts drawing entropy or time from outside the injected
-// Rng, these tests are the tripwire.
+// scratch, must emit byte-identical encoded batch streams and leave the
+// backend in a byte-identical state; if any component starts drawing
+// entropy or time from outside the injected Rng, these tests are the
+// tripwire.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,9 +36,14 @@ sim::Scene plazaScene(Rng& rng, std::size_t cars) {
   return scene;
 }
 
-// Drive both plaza readers for `untilSec` of simulated time and return
-// every uplink frame they emitted, concatenated in order.
-std::vector<std::uint8_t> runPlazaOnce(std::uint64_t seed, double untilSec) {
+struct PlazaRun {
+  std::vector<std::uint8_t> stream;  ///< Every uplink frame, in order.
+  std::vector<std::uint8_t> state;   ///< Backend::stateBytes() at the end.
+};
+
+// Drive both plaza readers for `untilSec` of simulated time over
+// lossless links into one backend.
+PlazaRun runPlazaOnce(std::uint64_t seed, double untilSec) {
   Rng rng(seed);
   sim::Scene scene = plazaScene(rng, 3);
 
@@ -50,23 +56,30 @@ std::vector<std::uint8_t> runPlazaOnce(std::uint64_t seed, double untilSec) {
   apps::ReaderDaemon d1(config, scene, 0, rng.fork());
   config.readerId = 2;
   apps::ReaderDaemon d2(config, scene, 1, rng.fork());
+  testhelpers::LinkPair link1;
+  testhelpers::LinkPair link2;
+  link1.attach(d1);
+  link2.attach(d2);
+  net::Backend backend;
 
-  std::vector<std::uint8_t> stream;
+  PlazaRun run;
   for (double t = 1.0; t <= untilSec; t += 1.0) {
     d1.runUntil(t);
     d2.runUntil(t);
-    for (auto* daemon : {&d1, &d2})
-      for (const auto& frame : daemon->takeUplink())
-        stream.insert(stream.end(), frame.begin(), frame.end());
+    for (auto* link : {&link1, &link2})
+      for (const auto& frame : link->pump(backend, t))
+        run.stream.insert(run.stream.end(), frame.begin(), frame.end());
   }
-  return stream;
+  run.state = backend.stateBytes();
+  return run;
 }
 
 TEST(Determinism, SeededPlazaReplaysByteIdentical) {
   const auto first = runPlazaOnce(0xD0D0'CAFE, 30.0);
   const auto second = runPlazaOnce(0xD0D0'CAFE, 30.0);
-  ASSERT_FALSE(first.empty());  // the scene really produced reports
-  EXPECT_EQ(first, second);     // bit-for-bit, not just "same counts"
+  ASSERT_FALSE(first.stream.empty());  // the scene really produced reports
+  EXPECT_EQ(first.stream, second.stream);  // bit-for-bit, not "same counts"
+  EXPECT_EQ(first.state, second.state);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {
@@ -74,8 +87,9 @@ TEST(Determinism, DifferentSeedsDiverge) {
   // different CFOs, so the encoded reports cannot collide.
   const auto a = runPlazaOnce(1, 15.0);
   const auto b = runPlazaOnce(2, 15.0);
-  ASSERT_FALSE(a.empty());
-  EXPECT_NE(a, b);
+  ASSERT_FALSE(a.stream.empty());
+  EXPECT_NE(a.stream, b.stream);
+  EXPECT_NE(a.state, b.state);
 }
 
 // Same property through the lossy uplink: link faults (drops, flips,
@@ -91,8 +105,7 @@ std::vector<std::uint8_t> runLossyOnce(std::uint64_t seed, double untilSec) {
   lossy.duplicateProbability = 0.05;
   lossy.latencyMeanSec = 0.05;
   lossy.latencyJitterSec = 0.02;
-  net::UplinkLink up(lossy, Rng(seed + 1));
-  net::UplinkLink down(lossy, Rng(seed + 2));
+  testhelpers::LinkPair link(lossy, seed + 1);
 
   apps::ReaderDaemonConfig config;
   config.readerId = 1;
@@ -101,18 +114,14 @@ std::vector<std::uint8_t> runLossyOnce(std::uint64_t seed, double untilSec) {
   config.outbox.initialBackoffSec = 2.0;
   config.outbox.maxBackoffSec = 8.0;
   apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
-  daemon.attachUplink(&up, &down);
+  link.attach(daemon);
   net::Backend backend;
 
   std::vector<std::uint8_t> delivered;
   for (double t = 1.0; t <= untilSec; t += 1.0) {
     daemon.runUntil(t);
-    for (const auto& frame : up.deliver(t)) {
+    for (const auto& frame : link.pump(backend, t))
       delivered.insert(delivered.end(), frame.begin(), frame.end());
-      const auto result = backend.ingestBatch(frame);
-      if (result.ok() && result.value().hasAck)
-        down.send(result.value().ack, t);
-    }
   }
   return delivered;
 }

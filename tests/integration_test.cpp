@@ -118,8 +118,10 @@ TEST(Integration, BackendFusesLiveSightingsIntoPositionFix) {
     sighting.pairIndex = static_cast<std::uint32_t>(aoa.bestPair);
     sighting.angleRad = aoa.bestAngleRad;
     // Through the wire protocol, as a real reader would.
-    ASSERT_TRUE(
-        backend.ingestFrame(net::encodeMessage(net::Message{sighting})).ok());
+    ASSERT_TRUE(backend
+                    .ingestBatch(net::encodeBatchV3({readerId, 1},
+                                                    {net::Message{sighting}}))
+                    .ok());
   };
   report(1, nodeA, 5.0);
   report(2, nodeB, 5.05);

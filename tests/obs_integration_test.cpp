@@ -57,6 +57,11 @@ TEST(ObsIntegration, DaemonEmitsPipelineEventSequence) {
   apps::ReaderDaemonConfig config;
   config.uplinkPeriodSec = 10.0;
   apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
+  // The daemon flushes only over an attached link. Nothing acks here
+  // (a backend would add its own events to the stream), so later
+  // flushes carry retries — each an uplink_flush like the first.
+  testhelpers::LinkPair link;
+  link.attach(daemon);
   daemon.runUntil(30.0);
 
   const auto events = sink.events();
@@ -172,8 +177,8 @@ TEST(ObsIntegration, GlobalRegistrySeesPipelineAndBackendCounters) {
   const std::uint64_t fftBefore = global.counter("dsp.fft.calls").value();
   const std::uint64_t countBefore =
       global.counter("counter.count_calls").value();
-  const std::uint64_t framesBefore =
-      global.counter("net.backend.frames_ingested").value();
+  const std::uint64_t batchesBefore =
+      global.counter("net.backend.batches_ingested").value();
   const std::uint64_t countReportsBefore =
       global.counter("net.backend.count_reports").value();
 
@@ -182,29 +187,21 @@ TEST(ObsIntegration, GlobalRegistrySeesPipelineAndBackendCounters) {
   apps::ReaderDaemonConfig config;
   config.uplinkPeriodSec = 10.0;
   apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
-  daemon.runUntil(20.0);
-
+  testhelpers::LinkPair link;
+  link.attach(daemon);
   net::Backend backend;
   std::size_t batches = 0;
-  std::size_t reports = 0;
-  for (const auto& frame : daemon.takeUplink()) {
-    const auto messages = net::decodeBatch(frame);
-    ASSERT_TRUE(messages.ok()) << messages.error();
-    for (const auto& m : messages.value().messages) backend.ingest(m);
-    reports += messages.value().messages.size();
-    ++batches;
+  for (double t = 1.0; t <= 20.0; t += 1.0) {
+    daemon.runUntil(t);
+    batches += link.pump(backend, t).size();
   }
   ASSERT_GT(batches, 0u);
-  ASSERT_GT(reports, 0u);
-
-  // Single-message frames go through ingestFrame, which also counts.
-  const net::Message single{net::CountReport{config.readerId, 1.0, 3}};
-  ASSERT_TRUE(backend.ingestFrame(net::encodeMessage(single)).ok());
+  ASSERT_GT(backend.countsSize(), 0u);
 
   EXPECT_GT(global.counter("dsp.fft.calls").value(), fftBefore);
   EXPECT_GT(global.counter("counter.count_calls").value(), countBefore);
-  EXPECT_EQ(global.counter("net.backend.frames_ingested").value(),
-            framesBefore + 1);
+  EXPECT_EQ(global.counter("net.backend.batches_ingested").value(),
+            batchesBefore + batches);
   EXPECT_GT(global.counter("net.backend.count_reports").value(),
             countReportsBefore);
 

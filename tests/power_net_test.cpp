@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "net/backend.hpp"
 #include "net/clock.hpp"
+#include "net/framing.hpp"
 #include "net/message.hpp"
+#include "obs/metrics.hpp"
 #include "power/model.hpp"
 
 namespace caraoke {
@@ -131,7 +137,7 @@ TEST(Message, RejectsTruncatedAndUnknown) {
   auto bytes = net::encodeMessage(net::Message{count});
   bytes.pop_back();
   EXPECT_FALSE(net::decodeMessage(bytes).ok());
-  EXPECT_FALSE(net::decodeMessage({0x77}).ok());
+  EXPECT_FALSE(net::decodeMessage(std::vector<std::uint8_t>{0x77}).ok());
   EXPECT_FALSE(net::decodeMessage({}).ok());
 }
 
@@ -147,6 +153,15 @@ core::ArrayGeometry pairAt(double x, double y, double z) {
   g.elements = {phy::Vec3{x - 0.08, y, z}, phy::Vec3{x + 0.08, y, z}};
   g.pairs = {{0, 1}};
   return g;
+}
+
+// Uplink one sighting as its reader's next batch.
+void uplink(net::Backend& backend, const net::SightingReport& sighting) {
+  const std::uint32_t seq = backend.highestSeq(sighting.readerId) + 1;
+  ASSERT_TRUE(backend
+                  .ingestBatch(net::encodeBatchV3({sighting.readerId, seq},
+                                                  {net::Message{sighting}}))
+                  .ok());
 }
 
 TEST(Backend, FusesTwoReaderSightings) {
@@ -168,8 +183,8 @@ TEST(Backend, FusesTwoReaderSightings) {
                         1.0};
   net::SightingReport b{2, 10.1, 500.8e3, 0,
                         angleFor(pairAt(30, 6, 3.8)), 1.0};
-  backend.ingest(net::Message{a});
-  backend.ingest(net::Message{b});
+  uplink(backend, a);
+  uplink(backend, b);
   const auto fixes = backend.fuse(10.2);
   ASSERT_EQ(fixes.size(), 1u);
   EXPECT_NEAR(fixes[0].position.x, car.x, 0.3);
@@ -181,10 +196,8 @@ TEST(Backend, DoesNotFuseDifferentCfos) {
   net::Backend backend;
   backend.registerReader(1, pairAt(0.0, -6.0, 3.8));
   backend.registerReader(2, pairAt(30.0, 6.0, 3.8));
-  backend.ingest(net::Message{net::SightingReport{1, 1.0, 200e3, 0, 1.2,
-                                                  1.0}});
-  backend.ingest(net::Message{net::SightingReport{2, 1.0, 900e3, 0, 1.4,
-                                                  1.0}});
+  uplink(backend, {1, 1.0, 200e3, 0, 1.2, 1.0});
+  uplink(backend, {2, 1.0, 900e3, 0, 1.4, 1.0});
   EXPECT_TRUE(backend.fuse(1.1).empty());
   EXPECT_EQ(backend.pendingSightings(), 2u);
 }
@@ -192,20 +205,97 @@ TEST(Backend, DoesNotFuseDifferentCfos) {
 TEST(Backend, ExpiresStaleSightings) {
   net::Backend backend;
   backend.registerReader(1, pairAt(0.0, -6.0, 3.8));
-  backend.ingest(net::Message{net::SightingReport{1, 1.0, 200e3, 0, 1.2,
-                                                  1.0}});
+  uplink(backend, {1, 1.0, 200e3, 0, 1.2, 1.0});
   backend.fuse(100.0);
   EXPECT_EQ(backend.pendingSightings(), 0u);
 }
 
-TEST(Backend, IngestFrameParsesWire) {
-  net::Backend backend;
-  const net::CountReport count{5, 9.0, 17};
-  const auto ok = backend.ingestFrame(net::encodeMessage(net::Message{count}));
-  ASSERT_TRUE(ok.ok());
-  ASSERT_EQ(backend.counts().size(), 1u);
-  EXPECT_EQ(backend.counts()[0].count, 17u);
-  EXPECT_FALSE(backend.ingestFrame({0x00}).ok());
+TEST(Backend, FuseDropsSightingWithOutOfRangePairIndex) {
+  // Regression: a CRC-valid sighting naming a baseline its reader does
+  // not have made every later fuse() throw std::out_of_range, and it
+  // never expired because expiry runs after the throw.
+  net::BackendConfig config;
+  config.road.zHeight = 1.2;
+  config.road.halfWidth = 6.0;
+  net::Backend backend(config);
+  backend.registerReader(1, pairAt(0.0, -6.0, 3.8));  // one baseline: 0
+  backend.registerReader(2, pairAt(30.0, 6.0, 3.8));
+  obs::Counter& rejected =
+      obs::globalRegistry().counter("net.backend.rejected.pair_index");
+  const std::uint64_t rejectedBefore = rejected.value();
+
+  uplink(backend, {1, 10.0, 500e3, 7, 1.2, 1.0});
+  uplink(backend, {2, 10.1, 500.8e3, 0, 1.4, 1.0});
+  std::vector<net::FusedFix> fixes;
+  ASSERT_NO_THROW(fixes = backend.fuse(10.2));
+  EXPECT_TRUE(fixes.empty());
+  EXPECT_EQ(rejected.value(), rejectedBefore + 1);
+  EXPECT_EQ(backend.pendingSightings(), 1u);  // the valid one waits
+
+  // Fusion is not stalled: the next call expires the survivor normally.
+  ASSERT_NO_THROW(backend.fuse(100.0));
+  EXPECT_EQ(backend.pendingSightings(), 0u);
+}
+
+TEST(Backend, DropsNonFiniteReportsAtIntake) {
+  // Regression: a sighting with a NaN timestamp was accepted, and NaN
+  // defeats every tolerance comparison and the expiry test downstream.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const net::SightingReport sighting{1, 1.0, 600e3, 0, 0.5, 2.0};
+  net::DecodeReport decode;
+  decode.readerId = 1;
+  decode.timestamp = 1.0;
+  decode.cfoHz = 600e3;
+
+  // Every double field of every report type is checked.
+  for (const double bad : {nan, inf, -inf}) {
+    std::vector<net::Message> poisoned;
+    poisoned.push_back(net::CountReport{1, bad, 3});
+    for (double net::SightingReport::*field :
+         {&net::SightingReport::timestamp, &net::SightingReport::cfoHz,
+          &net::SightingReport::angleRad,
+          &net::SightingReport::peakMagnitude}) {
+      net::SightingReport s = sighting;
+      s.*field = bad;
+      poisoned.push_back(s);
+    }
+    for (double net::DecodeReport::*field :
+         {&net::DecodeReport::timestamp, &net::DecodeReport::cfoHz}) {
+      net::DecodeReport d = decode;
+      d.*field = bad;
+      poisoned.push_back(d);
+    }
+    for (const net::Message& m : poisoned)
+      EXPECT_FALSE(net::decodeMessage(net::encodeMessage(m)).ok());
+  }
+
+  // At the backend: salvage drops and counts the poisoned message, its
+  // sibling survives, and WAL replay drops it the same way.
+  std::string dir = ::testing::TempDir() + "nonfinite_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  net::BackendConfig config;
+  config.durability.dir = dir;
+  net::Backend backend(config);
+  ASSERT_TRUE(backend.restore().ok());
+  obs::Counter& drops =
+      obs::globalRegistry().counter("net.backend.salvaged_message_drops");
+  const std::uint64_t dropsBefore = drops.value();
+  net::SightingReport poisoned = sighting;
+  poisoned.timestamp = nan;
+  const auto result = backend.ingestBatch(net::encodeBatchV3(
+      {1, 1}, {net::Message{poisoned}, net::Message{sighting}}));
+  ASSERT_TRUE(result.ok()) << result.error();
+  EXPECT_EQ(result.value().accepted, 1u);
+  EXPECT_EQ(result.value().droppedMessages, 1u);
+  EXPECT_EQ(drops.value(), dropsBefore + 1);
+  ASSERT_EQ(backend.pendingSightings(), 1u);
+  EXPECT_EQ(backend.sightings()[0].timestamp, 1.0);
+
+  net::Backend restarted(config);
+  ASSERT_TRUE(restarted.restore().ok());
+  EXPECT_EQ(drops.value(), dropsBefore + 2);
+  EXPECT_EQ(restarted.stateBytes(), backend.stateBytes());
 }
 
 }  // namespace

@@ -103,22 +103,23 @@ TEST(Property, BatchDecodeNeverCrashesOnRandomBytes) {
 }
 
 TEST(Property, EnvelopeCorruptionNeverCrashesAndNeverLies) {
-  // Random byte corruption of a valid v2 envelope: decode either fails
+  // Random byte corruption of a valid envelope: decode either fails
   // (CRC catches it) or — when the corruption misses the frame entirely,
   // which a single forced flip cannot — returns the original content.
   // Either way it must never crash and never return corrupt messages.
   Rng rng(16);
   for (int trial = 0; trial < 2000; ++trial) {
-    net::FrameBatcher batcher;
+    std::vector<net::Message> messages;
     const auto n = static_cast<std::size_t>(rng.uniformInt(1, 5));
     for (std::size_t i = 0; i < n; ++i)
-      batcher.add(net::Message{net::CountReport{
+      messages.push_back(net::CountReport{
           static_cast<std::uint32_t>(rng.uniformInt(1, 9)),
           rng.uniform(0.0, 100.0),
-          static_cast<std::uint32_t>(rng.uniformInt(0, 50))}});
-    auto bytes = batcher.flush(net::BatchHeader{
-        static_cast<std::uint32_t>(rng.uniformInt(1, 9)),
-        static_cast<std::uint32_t>(rng.uniformInt(1, 1000))});
+          static_cast<std::uint32_t>(rng.uniformInt(0, 50))});
+    auto bytes = net::encodeBatchV3(
+        net::BatchHeader{static_cast<std::uint32_t>(rng.uniformInt(1, 9)),
+                         static_cast<std::uint32_t>(rng.uniformInt(1, 1000))},
+        messages);
     const auto at = static_cast<std::size_t>(
         rng.uniformInt(0, static_cast<std::int64_t>(bytes.size()) - 1));
     const auto mask =

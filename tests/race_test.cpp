@@ -329,7 +329,7 @@ TEST(Race, OutboxConcurrentProducersCollectorAcker) {
 // {FlightRecorder,EventSink,TraceSink,Registry}.mutex_ edges.
 
 TEST(Race, BackendConcurrentBatchIngest) {
-  // 8 reader streams ingest v2 batches concurrently, with every third
+  // 8 reader streams ingest batches concurrently, with every third
   // batch retransmitted (dedup path) and one extra thread polling the
   // fusion/accounting surface mid-ingest.
   net::Backend backend;
@@ -352,7 +352,7 @@ TEST(Race, BackendConcurrentBatchIngest) {
   runThreads(kReaders, [&backend](std::size_t tid) {
     const std::uint32_t readerId = static_cast<std::uint32_t>(tid) + 1;
     for (std::uint32_t seq = 1; seq <= kBatches; ++seq) {
-      const auto frame = net::encodeBatchV2(
+      const auto frame = net::encodeBatchV3(
           {readerId, seq},
           {raceCountMsg(readerId, static_cast<double>(seq), seq)});
       auto result = backend.ingestBatch(frame);

@@ -25,6 +25,7 @@
 #include "net/message.hpp"
 #include "net/outbox.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenes_helpers.hpp"
 #include "sim/mobility.hpp"
@@ -138,7 +139,6 @@ TEST(FramingV3, RoundTripPreservesPerMessageTrace) {
   const auto decoded = net::decodeBatch(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   ASSERT_EQ(decoded.value().messages.size(), 3u);
-  EXPECT_TRUE(decoded.value().hasHeader);
   EXPECT_EQ(decoded.value().header.readerId, 7u);
   EXPECT_EQ(decoded.value().header.seq, 41u);
 
@@ -157,21 +157,37 @@ TEST(FramingV3, RoundTripPreservesPerMessageTrace) {
   EXPECT_DOUBLE_EQ(sighting->cfoHz, 312e3);
 }
 
-TEST(FramingV3, OlderWireVersionsStillDecodeAsUntraced) {
-  net::FrameBatcher batcher;
-  batcher.add(makeSighting(0x55, 0x66));  // in-memory trace fields set
-  const auto v1 = batcher.flush();
-  const auto v2 =
-      net::encodeBatchV2({7, 9}, {net::Message(makeSighting(0x55, 0x66))});
+TEST(FramingV3, OlderWireVersionsRejectedAsBadMagic) {
+  // Untraced v1 (0xCA0C: count + entries, no header or CRC) and v2
+  // (0xCA0D: v3's header and CRC, entries without the trace prefix)
+  // frames, byte for byte as their encoders wrote them.
+  const auto payload = net::encodeMessage(makeSighting(0x55, 0x66));
+  net::ByteWriter v1;
+  v1.u16(0xCA0C);
+  v1.u16(1);
+  v1.u16(static_cast<std::uint16_t>(payload.size()));
+  v1.raw(payload);
+  net::ByteWriter v2;
+  v2.u16(0xCA0D);
+  v2.u32(7);
+  v2.u32(9);
+  v2.u16(1);
+  v2.u16(static_cast<std::uint16_t>(payload.size()));
+  v2.raw(payload);
+  v2.u32(0);  // trailer placeholder, resealed below
 
-  for (const auto* frame : {&v1, &v2}) {
-    const auto decoded = net::decodeBatch(*frame);
-    ASSERT_TRUE(decoded.ok()) << decoded.error();
-    ASSERT_EQ(decoded.value().messages.size(), 1u);
-    // v1/v2 payloads have nowhere to carry the trace: it must come back
-    // as the zero sentinel, not as garbage.
-    EXPECT_FALSE(net::messageTrace(decoded.value().messages[0]).valid());
+  net::Backend backend;
+  obs::Counter& batchErrors =
+      obs::globalRegistry().counter("net.backend.batch_errors");
+  for (const auto& frame : {v1.bytes(), testhelpers::reseal(v2.bytes())}) {
+    const auto decoded = net::decodeBatch(frame);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error(), "bad batch magic");
+    const std::uint64_t errorsBefore = batchErrors.value();
+    EXPECT_FALSE(backend.ingestBatch(frame).ok());  // no ack either
+    EXPECT_EQ(batchErrors.value(), errorsBefore + 1);
   }
+  EXPECT_EQ(backend.pendingSightings(), 0u);
 }
 
 TEST(FramingV3, CrcCoversTheTracePrefix) {
@@ -243,10 +259,8 @@ TEST(TraceJourney, TwoReaderPlazaSpeedPairSharesReaderTrace) {
   net::LinkConfig lossy;
   lossy.dropProbability = 0.20;
   lossy.latencyMeanSec = 0.02;
-  net::UplinkLink up1(lossy, Rng(101));
-  net::UplinkLink down1(lossy, Rng(102));
-  net::UplinkLink up2(lossy, Rng(201));
-  net::UplinkLink down2(lossy, Rng(202));
+  testhelpers::LinkPair link1(lossy, 101);
+  testhelpers::LinkPair link2(lossy, 201);
 
   apps::ReaderDaemonConfig config;
   config.queriesPerWindow = 4;
@@ -259,10 +273,10 @@ TEST(TraceJourney, TwoReaderPlazaSpeedPairSharesReaderTrace) {
 
   config.readerId = 1;
   apps::ReaderDaemon d1(config, scene, 0, rng.fork());
-  d1.attachUplink(&up1, &down1);
+  link1.attach(d1);
   config.readerId = 2;
   apps::ReaderDaemon d2(config, scene, 1, rng.fork());
-  d2.attachUplink(&up2, &down2);
+  link2.attach(d2);
 
   net::BackendConfig backendConfig;
   backendConfig.flightCapacity = 8192;
@@ -275,25 +289,20 @@ TEST(TraceJourney, TwoReaderPlazaSpeedPairSharesReaderTrace) {
   for (double t = 0.5; t <= 30.0; t += 0.5) {
     d1.runUntil(t);
     d2.runUntil(t);
-    for (auto* up : {&up1, &up2}) {
-      net::UplinkLink* down = (up == &up1) ? &down1 : &down2;
-      for (const auto& frame : up->deliver(t)) {
-        const auto result = backend.ingestBatch(frame);
-        if (result.ok() && result.value().hasAck)
-          down->send(result.value().ack, t);
-      }
-    }
+    link1.pump(backend, t);
+    link2.pump(backend, t);
   }
-  // Drain phase: detach the links so still-pending retries land
-  // losslessly (34/36 are flush-period multiples).
-  d1.attachUplink(nullptr, nullptr);
-  d2.attachUplink(nullptr, nullptr);
+  // Drain phase: swap in lossless links so still-pending retries land
+  // (34/36 are flush-period multiples).
+  testhelpers::LinkPair quiet1;
+  testhelpers::LinkPair quiet2;
+  quiet1.attach(d1);
+  quiet2.attach(d2);
   for (double t = 30.5; t <= 36.0; t += 0.5) {
     d1.runUntil(t);
     d2.runUntil(t);
-    for (auto* daemon : {&d1, &d2})
-      for (const auto& frame : daemon->takeUplink())
-        ASSERT_TRUE(backend.ingestBatch(frame).ok());
+    quiet1.pump(backend, t);
+    quiet2.pump(backend, t);
   }
 
   const auto fixes = backend.pairSpeeds(36.0);

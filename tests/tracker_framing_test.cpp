@@ -135,138 +135,117 @@ TEST(Sync, DecoderRecoversJitteredResponses) {
 
 TEST(Framing, BatchRoundTrip) {
   Rng rng(4);
-  net::FrameBatcher batcher;
-  batcher.add(net::Message{net::CountReport{1, 10.0, 5}});
-  batcher.add(net::Message{net::SightingReport{1, 10.1, 700e3, 2, 1.1,
-                                               0.5}});
   net::DecodeReport decode;
   decode.readerId = 1;
   decode.id = phy::Packet::randomId(rng);
-  batcher.add(net::Message{decode});
-  EXPECT_EQ(batcher.pending(), 3u);
-  const std::size_t predicted = batcher.byteSize();
+  const std::vector<net::Message> messages{
+      net::CountReport{1, 10.0, 5},
+      net::SightingReport{1, 10.1, 700e3, 2, 1.1, 0.5}, decode};
 
-  const auto bytes = batcher.flush();
+  const auto bytes = net::encodeBatchV3(net::BatchHeader{1, 1}, messages);
+  // Header + CRC trailer, plus a length and trace prefix per entry.
+  std::size_t predicted = 12 + 4;
+  for (const auto& m : messages)
+    predicted += 2 + net::kTracePrefixBytes + net::encodeMessage(m).size();
   EXPECT_EQ(bytes.size(), predicted);
-  EXPECT_EQ(batcher.pending(), 0u);
 
   const auto decoded = net::decodeBatch(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
-  const auto& messages = decoded.value().messages;
-  ASSERT_EQ(messages.size(), 3u);
+  const auto& back = decoded.value().messages;
+  ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(decoded.value().droppedMessages, 0u);
-  EXPECT_FALSE(decoded.value().hasHeader);  // legacy v1 frame
-  EXPECT_TRUE(std::holds_alternative<net::CountReport>(messages[0]));
-  EXPECT_TRUE(std::holds_alternative<net::SightingReport>(messages[1]));
-  const auto& d = std::get<net::DecodeReport>(messages[2]);
+  EXPECT_TRUE(std::holds_alternative<net::CountReport>(back[0]));
+  EXPECT_TRUE(std::holds_alternative<net::SightingReport>(back[1]));
+  const auto& d = std::get<net::DecodeReport>(back[2]);
   EXPECT_EQ(d.id, decode.id);
 }
 
 TEST(Framing, EnvelopeRoundTripCarriesHeaderAndCrc) {
-  net::FrameBatcher batcher;
-  batcher.add(net::Message{net::CountReport{9, 2.0, 4}});
-  batcher.add(net::Message{net::SightingReport{9, 2.1, 640e3, 1, 0.8, 0.4}});
-  const std::size_t v1Size = batcher.byteSize();
-  const auto bytes = batcher.flush(net::BatchHeader{9, 77});
-  EXPECT_EQ(bytes.size(),
-            v1Size + net::FrameBatcher::kEnvelopeOverheadBytes);
-  EXPECT_EQ(batcher.pending(), 0u);
-
+  const auto bytes = net::encodeBatchV3(
+      net::BatchHeader{9, 77},
+      {net::CountReport{9, 2.0, 4}, net::SightingReport{9, 2.1, 640e3, 1, 0.8,
+                                                        0.4}});
   const auto decoded = net::decodeBatch(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
-  EXPECT_TRUE(decoded.value().hasHeader);
   EXPECT_EQ(decoded.value().header.readerId, 9u);
   EXPECT_EQ(decoded.value().header.seq, 77u);
   ASSERT_EQ(decoded.value().messages.size(), 2u);
 
-  // Any single-bit corruption is caught by the CRC-32 trailer, in either
-  // decode policy — the link model's bit flips cannot slip a damaged
-  // frame through by parse luck.
+  // Any single-bit corruption is caught by the CRC-32 trailer — the link
+  // model's bit flips cannot slip a damaged frame through by parse luck.
   for (std::size_t byte :
        {std::size_t{0}, std::size_t{5}, std::size_t{12}, bytes.size() - 1}) {
     auto corrupt = bytes;
     corrupt[byte] ^= 0x10;
     EXPECT_FALSE(net::decodeBatch(corrupt).ok()) << byte;
   }
+
+  // An empty batch is a legal count=0 frame (the outbox needs those to
+  // keep the seq space dense after shedding).
+  const auto empty = net::decodeBatch(net::encodeBatchV3({1, 3}, {}));
+  ASSERT_TRUE(empty.ok()) << empty.error();
+  EXPECT_TRUE(empty.value().messages.empty());
+  EXPECT_EQ(empty.value().header.seq, 3u);
 }
 
-TEST(Framing, EmptyFlushEmitsNothing) {
-  // Regression: flush() on an empty queue used to emit a header-only
-  // batch; it must emit nothing (there is nothing to transmit).
-  net::FrameBatcher batcher;
-  EXPECT_TRUE(batcher.flush().empty());
-  EXPECT_TRUE(batcher.flush(net::BatchHeader{1, 1}).empty());
-
-  // encodeBatchV2 *does* allow an empty batch (the outbox needs count=0
-  // frames to keep the seq space dense after shedding).
-  const auto empty = net::encodeBatchV2(net::BatchHeader{1, 3}, {});
-  const auto decoded = net::decodeBatch(empty);
-  ASSERT_TRUE(decoded.ok()) << decoded.error();
-  EXPECT_TRUE(decoded.value().messages.empty());
-  EXPECT_EQ(decoded.value().header.seq, 3u);
+// Three counts in one CRC-valid frame.
+std::vector<std::uint8_t> threeCounts() {
+  return net::encodeBatchV3({1, 1}, {net::CountReport{1, 1.0, 1},
+                                     net::CountReport{1, 2.0, 2},
+                                     net::CountReport{1, 3.0, 3}});
 }
 
 TEST(Framing, SalvageSkipsCorruptInnerMessages) {
-  // Build a v1 frame by hand with a poisoned middle message: salvage
-  // returns the siblings, strict destroys the batch (the old
-  // all-or-nothing behaviour, preserved as an opt-in).
-  net::FrameBatcher batcher;
-  batcher.add(net::Message{net::CountReport{1, 1.0, 1}});
-  batcher.add(net::Message{net::CountReport{1, 2.0, 2}});
-  batcher.add(net::Message{net::CountReport{1, 3.0, 3}});
-  auto bytes = batcher.flush();
-  bytes[4 + 2] ^= 0xFF;  // first message's type tag -> unknown
+  // A CRC-valid frame with a poisoned first message: decode returns the
+  // siblings and counts the loss instead of destroying the batch.
+  auto bytes = threeCounts();
+  bytes[14 + net::kTracePrefixBytes] ^= 0xFF;  // type tag -> unknown
 
-  const auto salvage = net::decodeBatch(bytes);
+  const auto salvage = net::decodeBatch(testhelpers::reseal(bytes));
   ASSERT_TRUE(salvage.ok()) << salvage.error();
   EXPECT_EQ(salvage.value().messages.size(), 2u);
   EXPECT_EQ(salvage.value().droppedMessages, 1u);
   EXPECT_EQ(std::get<net::CountReport>(salvage.value().messages[0]).count,
             2u);
-
-  EXPECT_FALSE(
-      net::decodeBatch(bytes, net::BatchDecodePolicy::kStrict).ok());
 }
 
 TEST(Framing, RejectsCorruption) {
-  net::FrameBatcher batcher;
-  batcher.add(net::Message{net::CountReport{1, 1.0, 1}});
-  batcher.add(net::Message{net::CountReport{1, 2.0, 2}});
-  auto bytes = batcher.flush();
+  const auto bytes = threeCounts();
   auto badMagic = bytes;
   badMagic[0] ^= 0xFF;
-  EXPECT_FALSE(net::decodeBatch(badMagic).ok());
+  EXPECT_FALSE(net::decodeBatch(testhelpers::reseal(badMagic)).ok());
 
-  // Structural damage in strict mode: fatal.
+  // Structural damage under a valid CRC: earlier siblings survive and
+  // the loss is reported. A body cut 3 bytes short truncates the last
+  // entry; one stray byte is an unclaimed fragment.
   auto truncated = bytes;
-  truncated.resize(truncated.size() - 3);
-  EXPECT_FALSE(
-      net::decodeBatch(truncated, net::BatchDecodePolicy::kStrict).ok());
-  auto trailing = bytes;
-  trailing.push_back(0x00);
-  EXPECT_FALSE(
-      net::decodeBatch(trailing, net::BatchDecodePolicy::kStrict).ok());
-
-  // The same damage in salvage mode: earlier siblings survive and the
-  // loss is reported.
-  const auto salvaged = net::decodeBatch(truncated);
-  ASSERT_TRUE(salvaged.ok());
-  EXPECT_EQ(salvaged.value().messages.size(), 1u);
+  truncated.erase(truncated.end() - 7, truncated.end() - 4);
+  const auto salvaged = net::decodeBatch(testhelpers::reseal(truncated));
+  ASSERT_TRUE(salvaged.ok()) << salvaged.error();
+  EXPECT_EQ(salvaged.value().messages.size(), 2u);
   EXPECT_EQ(salvaged.value().droppedMessages, 1u);
-  const auto trailed = net::decodeBatch(trailing);
-  ASSERT_TRUE(trailed.ok());
-  EXPECT_EQ(trailed.value().messages.size(), 2u);
+  auto trailing = bytes;
+  trailing.insert(trailing.end() - 4, 0x00);
+  const auto trailed = net::decodeBatch(testhelpers::reseal(trailing));
+  ASSERT_TRUE(trailed.ok()) << trailed.error();
+  EXPECT_EQ(trailed.value().messages.size(), 3u);
   EXPECT_EQ(trailed.value().droppedMessages, 1u);
+
+  // A frame shorter than header + trailer never parses.
+  EXPECT_FALSE(
+      net::decodeBatch(std::vector<std::uint8_t>(bytes.begin(),
+                                                 bytes.begin() + 10))
+          .ok());
 }
 
 TEST(Framing, AirTimeSupportsDutyCyclingClaim) {
   // A batch of 60 sighting reports (one per second for a minute) must fit
   // in well under 100 ms of LTE air time at 1 Mbps (paper footnote 15).
-  net::FrameBatcher batcher;
+  std::vector<net::Message> minute;
   for (int i = 0; i < 60; ++i)
-    batcher.add(net::Message{net::SightingReport{1, i * 1.0, 700e3, 0, 1.0,
-                                                 0.3}});
-  const double air = net::batchAirTimeSec(batcher.byteSize(), 1e6);
+    minute.push_back(net::SightingReport{1, i * 1.0, 700e3, 0, 1.0, 0.3});
+  const double air =
+      net::batchAirTimeSec(net::encodeBatchV3({1, 1}, minute).size(), 1e6);
   EXPECT_LT(air, 0.1);
   EXPECT_GT(air, 0.0);
 }
