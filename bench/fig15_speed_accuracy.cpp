@@ -26,17 +26,7 @@ std::vector<core::AngleSample> trackPassage(
     double laneY, const net::ReaderClock& clock,
     const sim::MultipathConfig& multipath, Rng& rng) {
   const core::AoaEstimator estimator(bench::geometryFor(reader));
-  // Road-parallel pair: find the pair whose baseline is along x.
-  const core::ArrayGeometry geometry = bench::geometryFor(reader);
-  std::size_t roadPair = 0;
-  double bestAlign = -1.0;
-  for (std::size_t p = 0; p < geometry.pairs.size(); ++p) {
-    const double align = std::abs(geometry.baselineDirection(p).x);
-    if (align > bestAlign) {
-      bestAlign = align;
-      roadPair = p;
-    }
-  }
+  const std::size_t roadPair = estimator.geometry().roadPair();
 
   std::vector<core::AngleSample> samples;
   core::SpectrumAnalyzer analyzer;

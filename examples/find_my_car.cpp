@@ -89,14 +89,7 @@ int main() {
           aggregator.result(reader.frontEnd.sampling.loFrequencyHz);
       // Report the road-parallel pair: the backend can then run the
       // paper's exact two-hyperbola fix (Eq. 15).
-      const auto geometry = geometryFor(reader);
-      std::size_t roadPair = 0;
-      double bestAlign = -1.0;
-      for (std::size_t p = 0; p < geometry.pairs.size(); ++p)
-        if (std::abs(geometry.baselineDirection(p).x) > bestAlign) {
-          bestAlign = std::abs(geometry.baselineDirection(p).x);
-          roadPair = p;
-        }
+      const std::size_t roadPair = geometryFor(reader).roadPair();
       net::SightingReport sighting;
       sighting.readerId = readerId;
       sighting.timestamp = 60.0;

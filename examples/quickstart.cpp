@@ -1,20 +1,22 @@
 // Quickstart: the smallest end-to-end Caraoke program.
 //
 // Builds a street scene with one pole-mounted reader and three parked cars
-// carrying unmodified e-toll transponders, then exercises the three core
-// capabilities on their *colliding* responses:
+// carrying unmodified e-toll transponders, fires one measurement window's
+// burst of queries, and exercises the three core capabilities on their
+// *colliding* responses:
 //   1. count the transponders (paper §5),
 //   2. observe each one's CFO and angle of arrival (§3, §6),
 //   3. decode everyone's id from repeated collisions (§8).
 //
 // Build & run:  ./build/examples/quickstart
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/counter.hpp"
-#include "core/reader.hpp"
+#include "core/measurement_window.hpp"
 #include "dsp/spectrum.hpp"
 #include "sim/scene.hpp"
 
@@ -40,45 +42,41 @@ int main() {
   }
 
   // --- the reader ------------------------------------------------------
-  core::ReaderConfig config;
-  config.array.elements = pole.array().elements();
-  config.array.pairs = sim::TriangleArray::pairs();
-  core::CaraokeReader reader(config);
+  core::ArrayGeometry array;
+  array.elements = pole.array().elements();
+  array.pairs = sim::TriangleArray::pairs();
+  core::MeasurementWindow window(array, pole.frontEnd.sampling);
 
-  // 1. COUNT: fire a burst of queries, estimate how many tags answered.
-  std::vector<dsp::CVec> burst;
+  // One measurement window: fire a burst of queries; all three tags
+  // answer every one, so every capture is a collision.
+  core::Burst burst;
   for (int q = 0; q < 10; ++q)
-    burst.push_back(scene.query(readerIdx, 0.0, rng).antennaSamples.front());
-  core::MultiQueryCounter counter;
-  const auto count = counter.count(burst);
+    burst.push_back(scene.query(readerIdx, 0.0, rng).antennaSamples);
+
+  // 1. COUNT: estimate how many tags answered.
+  const auto count = window.count(burst);
   std::printf("counted %zu transponders in the collision "
               "(ground truth: %zu)\n",
               count.estimate, scene.trueCount(readerIdx, 0.0));
 
-  // 2. OBSERVE: per-transponder CFO + angle of arrival. The counter's
-  // vetoed bin list gates the raw observations (a transponder's fixed
-  // bits radiate weak deterministic side lines that a single capture
-  // cannot tell from real spikes).
-  const sim::Capture capture = scene.query(readerIdx, 0.0, rng);
-  for (const auto& sighted : reader.observe(capture.antennaSamples)) {
-    bool counted = false;
-    for (std::size_t bin : count.bins)
-      if (std::llabs(static_cast<long long>(bin) -
-                     static_cast<long long>(sighted.observation.bin)) <= 2)
-        counted = true;
-    if (!counted) continue;
+  // 2. OBSERVE: each counted spike's CFO and burst-averaged angle of
+  // arrival on the road-parallel antenna pair open one track per tag.
+  window.observe(0.0, burst, count);
+  for (const auto& track : window.tracker().tracks())
     std::printf("  spike @ %7.1f kHz  AoA %5.1f deg (pair %zu)\n",
-                sighted.observation.cfoHz / 1e3,
-                rad2deg(sighted.aoa.bestAngleRad), sighted.aoa.bestPair);
-  }
+                track.cfoHz / 1e3,
+                rad2deg(std::acos(std::clamp(track.cosAlpha, -1.0, 1.0))),
+                window.roadPair());
 
   // 3. DECODE: accumulate more collisions and read out every id.
-  std::vector<dsp::CVec> collisions = burst;
+  std::vector<dsp::CVec> collisions;
+  for (const auto& antennas : burst) collisions.push_back(antennas.front());
   for (int q = 0; q < 30; ++q)
     collisions.push_back(
         scene.query(readerIdx, 0.0, rng).antennaSamples.front());
   const auto mapper = dsp::BinMapper(2048, 4e6);
-  for (const auto& entry : reader.decodeAll(collisions)) {
+  for (const auto& entry : core::decodeAll(collisions, core::DecoderConfig{},
+                                          core::SpectrumAnalysisConfig{})) {
     bool counted = false;
     for (std::size_t bin : count.bins)
       if (std::abs(entry.cfoHz - static_cast<double>(bin) *

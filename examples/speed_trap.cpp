@@ -35,14 +35,7 @@ void trackPassage(sim::ReaderNode& reader, sim::Transponder& car,
   geometry.elements = reader.array().elements();
   geometry.pairs = sim::TriangleArray::pairs();
   const core::AoaEstimator estimator(geometry);
-  // The pair whose baseline runs along the road.
-  std::size_t roadPair = 0;
-  double bestAlign = -1.0;
-  for (std::size_t p = 0; p < geometry.pairs.size(); ++p)
-    if (std::abs(geometry.baselineDirection(p).x) > bestAlign) {
-      bestAlign = std::abs(geometry.baselineDirection(p).x);
-      roadPair = p;
-    }
+  const std::size_t roadPair = geometry.roadPair();
 
   const double targetCfo =
       car.carrierHz() - reader.frontEnd.sampling.loFrequencyHz;

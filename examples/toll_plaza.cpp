@@ -1,17 +1,15 @@
 // Open-road tolling demo — the transponders' original job, done without
 // lane barriers or directional antennas (paper §1): a single gantry
-// reader runs the full firmware pipeline (track by CFO, detect the
-// crossing, decode the id from collisions) and posts charges.
-#include <algorithm>
+// reader runs a measurement window every 100 ms (count, then track by
+// CFO, which detects the crossing), decodes the crosser's id from
+// collisions, and posts charges.
+#include <cmath>
 #include <cstdio>
 
 #include "apps/tolling.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/aoa.hpp"
-#include "core/decoder.hpp"
-#include "core/spectrum_analysis.hpp"
-#include "core/tracker.hpp"
+#include "core/measurement_window.hpp"
 #include "sim/medium.hpp"
 
 using namespace caraoke;
@@ -24,20 +22,12 @@ int main() {
 
   phy::EmpiricalCfoModel cfoModel;
   sim::MultipathConfig multipath;
-  core::SpectrumAnalyzer analyzer;
   core::ArrayGeometry geometry;
   geometry.elements = gantry.array().elements();
   geometry.pairs = sim::TriangleArray::pairs();
-  const core::AoaEstimator estimator(geometry);
-  std::size_t roadPair = 0;
-  double bestAlign = -1.0;
-  for (std::size_t p = 0; p < geometry.pairs.size(); ++p)
-    if (std::abs(geometry.baselineDirection(p).x) > bestAlign) {
-      bestAlign = std::abs(geometry.baselineDirection(p).x);
-      roadPair = p;
-    }
-
-  core::TransponderTracker tracker;
+  core::MultiQueryCounterConfig counter;
+  counter.noiseSigma = gantry.frontEnd.noiseSigma;
+  core::MeasurementWindow window(geometry, gantry.frontEnd.sampling, counter);
   apps::TollPlaza plaza({1.75, 10.0});
 
   // Three cars pass the gantry at different times and speeds; their
@@ -63,30 +53,14 @@ int main() {
       positions.push_back({x, 1.8, 1.2});
       active.push_back({&car.tag, positions.back()});
     }
-    if (active.empty()) {
-      tracker.update(t, {});
-      continue;
-    }
-
-    const auto capture =
-        sim::captureCollision(gantry, active, multipath, rng);
-    std::vector<core::TrackerObservation> feed;
-    for (const auto& obs : analyzer.analyze(capture.antennaSamples)) {
-      const auto pa = estimator.pairAngle(
-          obs.channels, roadPair,
-          wavelength(gantry.frontEnd.sampling.loFrequencyHz + obs.cfoHz));
-      feed.push_back({obs.cfoHz, std::cos(pa.angleRad), obs.peakMagnitude});
-    }
-    tracker.update(t, feed);
-
-    double strongestTrack = 0.0;
-    for (const auto& track : tracker.tracks())
-      strongestTrack = std::max(strongestTrack, track.magnitude);
-    for (const auto& event : tracker.takeAbeamEvents()) {
-      // Data-line ghost tracks are far weaker than real transponders.
-      const core::Track* owner = tracker.findByCfo(event.cfoHz);
-      if (owner == nullptr || owner->magnitude < 0.3 * strongestTrack)
-        continue;
+    // One measurement window: a burst of queries, every response
+    // colliding with the others.
+    core::Burst burst;
+    for (int q = 0; q < 4; ++q)
+      burst.push_back(
+          sim::captureCollision(gantry, active, multipath, rng).antennaSamples);
+    const auto count = window.count(burst);
+    for (const auto& event : window.observe(t, burst, count)) {
       // Crossing detected: decode the crosser from fresh collisions.
       core::CollisionDecoder decoder;
       const auto outcome = decoder.decodeTarget(event.cfoHz, [&]() {

@@ -6,6 +6,11 @@
 # regression beyond the threshold, or a per-burst counter budget
 # violation — see COUNTER_GATES in tools/benchgate.py).
 #
+# The pipeline benchmark's smoke rides along: it builds perfbench/
+# against src/ (in .bench_build) and runs every workload ~1 s in both
+# trace modes, checking its outputs — so a rename of a src/ name that
+# perfbench calls fails here rather than only at the benchmark gate.
+#
 # Two profiler stages ride along:
 #   profile-smoke  run dsp_micro + decoder_ablation with --prof-folded
 #                  and assert (tools/profcat.py --assert-stages) that
@@ -57,6 +62,9 @@ python3 tools/benchgate.py \
   --threshold "${THRESHOLD}" \
   --out "${OUT}" \
   ${GATE_ARGS:-}
+
+echo "=== ci_perf: pipeline benchmark smoke (perfbench) ==="
+python3 perfbench/run.py --smoke
 
 echo "=== ci_perf: profile smoke (folded dumps + expected stages) ==="
 PROF_DIR="$(mktemp -d)"

@@ -48,14 +48,14 @@ ReaderDaemon::ReaderDaemon(ReaderDaemonConfig config, sim::Scene& scene,
       readerIndex_(readerIndex),
       rng_(rng),
       traceRng_(0xca0e'77ac'0000'0000ull + config.readerId),
-      counter_([&] {
-        config.counter.noiseSigma =
-            scene.reader(readerIndex).frontEnd.noiseSigma;
-        return config.counter;
-      }()),
-      analyzer_(),
-      tracker_(config.tracker),
-      aoa_(geometryOf(scene.reader(readerIndex))),
+      window_(geometryOf(scene.reader(readerIndex)),
+              scene.reader(readerIndex).frontEnd.sampling,
+              [&] {
+                config.counter.noiseSigma =
+                    scene.reader(readerIndex).frontEnd.noiseSigma;
+                return config.counter;
+              }(),
+              config.tracker, config.decoder),
       measurementsCtr_(registry_.counter("daemon.measurements")),
       queriesCtr_(registry_.counter("daemon.queries_sent")),
       decodedIdsCtr_(registry_.counter("daemon.decoded_ids")),
@@ -75,15 +75,6 @@ ReaderDaemon::ReaderDaemon(ReaderDaemonConfig config, sim::Scene& scene,
               Rng(0xca0c'b0c5'0000'0000ull + config.readerId), &registry_),
       flight_(config.flightCapacity),
       flightDumpsCtr_(registry_.counter("daemon.flight_dumps")) {
-  // The road-parallel pair drives the tracker's cos(alpha) feed.
-  double bestAlign = -1.0;
-  for (std::size_t p = 0; p < aoa_.geometry().pairs.size(); ++p) {
-    const double align = std::abs(aoa_.geometry().baselineDirection(p).x);
-    if (align > bestAlign) {
-      bestAlign = align;
-      roadPair_ = p;
-    }
-  }
   clock_.ntpSync(0.0, net::kNtpResidualRmsSec, rng_);
   if (config_.expoPort >= 0) startExposition();
 }
@@ -173,20 +164,14 @@ void ReaderDaemon::measurementWindow(double now) {
                                 traceRng_.next() | 1ull};
   obs::ScopedTraceContext traceScope(trace);
   obs::ObsSpan windowSpan("daemon.measurement_window", windowSec_);
-  const sim::ReaderNode& node = scene_.reader(readerIndex_);
-  const double lo = node.frontEnd.sampling.loFrequencyHz;
 
   // Fire the query burst.
-  std::vector<dsp::CVec> burstPrimary;           // antenna 0 per query
-  std::vector<std::vector<dsp::CVec>> captures;  // all antennas per query
+  core::Burst burst;
   {
     obs::ObsSpan span("daemon.query_burst",
                       registry_.histogram("daemon.query_burst.seconds"));
-    for (std::size_t q = 0; q < config_.queriesPerWindow; ++q) {
-      sim::Capture capture = scene_.query(readerIndex_, now, rng_);
-      burstPrimary.push_back(capture.antennaSamples.front());
-      captures.push_back(std::move(capture.antennaSamples));
-    }
+    for (std::size_t q = 0; q < config_.queriesPerWindow; ++q)
+      burst.push_back(scene_.query(readerIndex_, now, rng_).antennaSamples);
   }
   queriesCtr_.inc(config_.queriesPerWindow);
   accountActive(static_cast<double>(config_.queriesPerWindow) *
@@ -201,7 +186,7 @@ void ReaderDaemon::measurementWindow(double now) {
   {
     obs::ObsSpan span("daemon.count",
                       registry_.histogram("daemon.count.seconds"));
-    count = counter_.count(burstPrimary);
+    count = window_.count(burst);
   }
   {
     std::size_t multiBins = 0;
@@ -220,109 +205,49 @@ void ReaderDaemon::measurementWindow(double now) {
       trace.spanId}});
   countsReportedCtr_.inc();
 
-  // Observe: the tracker gets one update per window, built from the
-  // counter's vetoed spike list (its variance/shape tests reject the
-  // deterministic data lines that would otherwise spawn ghost tracks).
-  // Per counted bin, the per-query channels feed a circular-mean AoA.
+  // Observe, then report every confirmed track seen this window.
   {
-  obs::ObsSpan observeSpan("daemon.observe",
-                           registry_.histogram("daemon.observe.seconds"));
-  std::vector<std::vector<core::TransponderObservation>> perQuery;
-  perQuery.reserve(captures.size());
-  for (const auto& antennas : captures)
-    perQuery.push_back(analyzer_.analyze(antennas));
-
-  std::vector<core::TrackerObservation> windowFeed;
-  for (std::size_t spike = 0; spike < count.bins.size(); ++spike) {
-    const double spikeCfo = static_cast<double>(count.bins[spike]) *
-                            node.frontEnd.sampling.sampleRateHz /
-                            static_cast<double>(
-                                node.frontEnd.sampling.responseSamples());
-    core::AoaAggregator aggregator(aoa_.geometry());
-    double magnitudeSum = 0.0;
-    double cfoSum = 0.0;
-    std::size_t seen = 0;
-    for (const auto& observations : perQuery) {
-      const core::TransponderObservation* best = nullptr;
-      double gap = 4e3;
-      for (const auto& obs : observations) {
-        const double g = std::abs(obs.cfoHz - spikeCfo);
-        if (g < gap) {
-          gap = g;
-          best = &obs;
-        }
-      }
-      if (best == nullptr) continue;
-      aggregator.add(*best);
-      magnitudeSum += best->peakMagnitude;
-      cfoSum += best->cfoHz;
-      ++seen;
+    obs::ObsSpan span("daemon.observe",
+                      registry_.histogram("daemon.observe.seconds"));
+    window_.observe(now, burst, count);
+    for (const core::Track& track : window_.tracker().tracks()) {
+      if (!track.confirmed(config_.tracker.confirmHits)) continue;
+      if (track.lastSeen < now) continue;  // not seen this window
+      net::SightingReport sighting;
+      sighting.readerId = config_.readerId;
+      sighting.timestamp = clock_.localTime(now);
+      sighting.cfoHz = track.cfoHz;
+      sighting.pairIndex = static_cast<std::uint32_t>(window_.roadPair());
+      sighting.angleRad = std::acos(std::clamp(track.cosAlpha, -1.0, 1.0));
+      sighting.traceId = trace.traceId;
+      sighting.spanId = trace.spanId;
+      outbox_.add(net::Message{sighting});
+      sightingsReportedCtr_.inc();
     }
-    if (seen == 0) continue;
-    const auto aoa = aggregator.result(lo);
-    const auto& pa = aoa.perPair.at(roadPair_);
-    windowFeed.push_back({cfoSum / static_cast<double>(seen),
-                          std::cos(pa.angleRad),
-                          magnitudeSum / static_cast<double>(seen)});
   }
-  tracker_.update(now, windowFeed);
-  for (const core::Track& track : tracker_.tracks()) {
-    if (!track.confirmed(config_.tracker.confirmHits)) continue;
-    if (track.lastSeen < now) continue;  // not seen this window
-    net::SightingReport sighting;
-    sighting.readerId = config_.readerId;
-    sighting.timestamp = clock_.localTime(now);
-    sighting.cfoHz = track.cfoHz;
-    sighting.pairIndex = static_cast<std::uint32_t>(roadPair_);
-    sighting.angleRad = std::acos(std::clamp(track.cosAlpha, -1.0, 1.0));
-    sighting.traceId = trace.traceId;
-    sighting.spanId = trace.spanId;
-    outbox_.add(net::Message{sighting});
-    sightingsReportedCtr_.inc();
-  }
-  }  // observe span
 
-  // Opportunistic decode: pick the strongest confirmed, unidentified
-  // track and spend the decode budget combining this window's captures.
+  // Opportunistic decode on the strongest track that has no id yet.
   obs::ObsSpan decodeSpan("daemon.decode",
                           registry_.histogram("daemon.decode.seconds"));
-  const core::Track* target = nullptr;
-  for (const core::Track& track : tracker_.tracks()) {
-    if (!track.confirmed(config_.tracker.confirmHits)) continue;
-    if (std::find(identifiedTracks_.begin(), identifiedTracks_.end(),
-                  track.trackId) != identifiedTracks_.end())
-      continue;
-    if (target == nullptr || track.hits > target->hits) target = &track;
-  }
-  if (target != nullptr) {
-    core::CollisionDecoder decoder(config_.decoder);
-    decoder.reset(target->cfoHz);
-    const std::size_t budget =
-        std::min(config_.decodeCollisionsPerWindow, burstPrimary.size());
-    bool decodedId = false;
-    for (std::size_t q = 0; q < budget; ++q) {
-      if (auto id = decoder.addCollision(burstPrimary[q])) {
-        identifiedTracks_.push_back(target->trackId);
-        net::DecodeReport report;
-        report.readerId = config_.readerId;
-        report.timestamp = clock_.localTime(now);
-        report.cfoHz = target->cfoHz;
-        report.id = *id;
-        report.traceId = trace.traceId;
-        report.spanId = trace.spanId;
-        decoded_.push_back(report);
-        outbox_.add(net::Message{report});
-        decodedIdsCtr_.inc();
-        decodedId = true;
-        break;
-      }
+  if (const auto attempt =
+          window_.decode(burst, config_.decodeCollisionsPerWindow)) {
+    if (attempt->id) {
+      net::DecodeReport report;
+      report.readerId = config_.readerId;
+      report.timestamp = clock_.localTime(now);
+      report.cfoHz = attempt->cfoHz;
+      report.id = *attempt->id;
+      report.traceId = trace.traceId;
+      report.spanId = trace.spanId;
+      outbox_.add(net::Message{report});
+      decodedIdsCtr_.inc();
     }
     recordEvent("daemon.decode_attempt",
                 {{"t", now},
                  {"reader_id", config_.readerId},
-                 {"cfo_hz", target->cfoHz},
-                 {"combines", decoder.collisionsUsed()},
-                 {"crc_ok", decodedId}});
+                 {"cfo_hz", attempt->cfoHz},
+                 {"combines", attempt->combines},
+                 {"crc_ok", attempt->id.has_value()}});
   }
 
   // The window's reports are now queued in the outbox — the journey's

@@ -2,11 +2,12 @@
 //
 // Ties the whole system together the way §10 describes the device
 // operating: the micro-controller duty-cycles between sleep and short
-// active windows; each active window fires a burst of queries, runs the
-// counting/observation pipeline on the collisions, updates the per-CFO
-// tracker, opportunistically decodes ids, batches the results, and
-// periodically wakes the modem to flush the batch upstream — while the
-// energy ledger accounts for every phase against the §12.5 power model.
+// active windows; each active window fires a burst of queries and hands
+// it to core::MeasurementWindow (count, observe/track, opportunistic
+// decode), turns the window's output into count, sighting and decode
+// reports, batches them, and periodically wakes the modem to flush the
+// batch upstream — while the energy ledger accounts for every phase
+// against the §12.5 power model.
 #pragma once
 
 #include <atomic>
@@ -16,10 +17,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "core/aoa.hpp"
-#include "core/counter.hpp"
-#include "core/decoder.hpp"
-#include "core/tracker.hpp"
+#include "core/measurement_window.hpp"
 #include "net/clock.hpp"
 #include "net/framing.hpp"
 #include "net/link.hpp"
@@ -169,11 +167,10 @@ class ReaderDaemon {
   const obs::Registry& registry() const { return registry_; }
   obs::Registry& registry() { return registry_; }
 
-  const core::TransponderTracker& tracker() const { return tracker_; }
+  const core::TransponderTracker& tracker() const {
+    return window_.tracker();
+  }
   const net::ReaderClock& clock() const { return clock_; }
-
-  /// Identities decoded so far, keyed by the CFO they were seen at.
-  const std::vector<net::DecodeReport>& decoded() const { return decoded_; }
 
  private:
   void measurementWindow(double now);
@@ -193,11 +190,7 @@ class ReaderDaemon {
   /// propagation does not perturb the scene's noise draws (which
   /// seed-pinned tests depend on).
   Rng traceRng_;
-  core::MultiQueryCounter counter_;
-  core::SpectrumAnalyzer analyzer_;
-  core::TransponderTracker tracker_;
-  core::AoaEstimator aoa_;
-  std::size_t roadPair_ = 0;
+  core::MeasurementWindow window_;
   net::ReaderClock clock_;
   net::UplinkLink* uplinkTx_ = nullptr;
   net::UplinkLink* ackRx_ = nullptr;
@@ -205,9 +198,6 @@ class ReaderDaemon {
   /// Lock-free by design: a single enum word with no cross-field
   /// invariant to protect.
   std::atomic<UplinkHealth> health_ CARAOKE_LOCKFREE{UplinkHealth::kHealthy};
-  std::vector<net::DecodeReport> decoded_;
-  /// Per-track decode state: tracks already identified (by track id).
-  std::vector<std::uint64_t> identifiedTracks_;
   /// Telemetry. The metric handles below alias registry_ entries and are
   /// resolved once here (registry_ must be declared before them).
   obs::Registry registry_;

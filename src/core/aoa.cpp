@@ -24,6 +24,19 @@ phy::Vec3 ArrayGeometry::center() const {
   return c * (1.0 / static_cast<double>(elements.size()));
 }
 
+std::size_t ArrayGeometry::roadPair() const {
+  std::size_t best = 0;
+  double bestAlign = -1.0;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const double align = std::abs(baselineDirection(p).x);
+    if (align > bestAlign) {
+      bestAlign = align;
+      best = p;
+    }
+  }
+  return best;
+}
+
 AoaEstimator::AoaEstimator(ArrayGeometry geometry)
     : geometry_(std::move(geometry)) {
   if (geometry_.elements.size() < 2 || geometry_.pairs.empty())

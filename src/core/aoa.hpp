@@ -35,6 +35,10 @@ struct ArrayGeometry {
   double baselineLength(std::size_t pairIndex) const;
   /// Geometric center of the elements.
   phy::Vec3 center() const;
+  /// The pair whose baseline runs most nearly along the road (the x
+  /// axis): its cos(alpha) sweeps through zero as a car passes abeam
+  /// (§7), so trackers, speed traps and sightings measure on it.
+  std::size_t roadPair() const;
 };
 
 /// AoA measured on one baseline pair.

@@ -97,7 +97,7 @@ CountResult TransponderCounter::count(dsp::CSpan samples) const {
   const std::size_t tau =
       std::min(config_.shiftSamples, geometric ? n / 4 : n / 2);
   const std::size_t m = geometric ? n / 2 : n - tau;
-  const auto taper = dsp::makeWindow(config_.analysis.detectionWindow, m);
+  const auto taper = dsp::makeWindow(dsp::WindowKind::kHann, m);
 
   // All tests compare the same full-grid bin across time-shifted windows
   // of one collision (§5, Eq. 8): a single transponder's spike value only
@@ -172,7 +172,7 @@ CountResult MultiQueryCounter::count(
   for (double& v : avg) v *= inv;
 
   CountResult result = countPass(collisions, avg, config_.cfarFactor);
-  if (config_.adaptiveCfar && result.estimate >= config_.denseSceneSpikes &&
+  if (result.estimate >= config_.denseSceneSpikes &&
       config_.denseCfarFactor < config_.cfarFactor) {
     counterMetrics().adaptiveRepasses.inc();
     result = countPass(collisions, avg, config_.denseCfarFactor);

@@ -121,9 +121,9 @@ struct MultiQueryCounterConfig {
   std::size_t shapeFarBins = 8;
   /// Dense scenes raise the OOK floor and push weak spikes toward it; a
   /// second detection pass with a lower CFAR factor recovers them once
-  /// the first pass shows the scene is dense. (The weak-line vetoes keep
-  /// the lower threshold from admitting floor bumps.)
-  bool adaptiveCfar = true;
+  /// the first pass estimates at least denseSceneSpikes transponders.
+  /// (The weak-line vetoes keep the lower threshold from admitting floor
+  /// bumps.)
   std::size_t denseSceneSpikes = 22;
   double denseCfarFactor = 1.9;
   bool enableMultiDetection = true;

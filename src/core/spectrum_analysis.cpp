@@ -18,7 +18,6 @@ SpectrumAnalysisConfig::SpectrumAnalysisConfig() {
   // unresolvable here and fall to the §5 multi-occupancy test.
   peaks.minSeparationBins = 4;
   peaks.cfarGuardBins = 4;
-  peaks.thresholdMads = 10.0;
 }
 
 SpectrumAnalyzer::SpectrumAnalyzer(SpectrumAnalysisConfig config)
@@ -32,10 +31,7 @@ dsp::BinMapper SpectrumAnalyzer::binMapper() const {
 std::vector<double> SpectrumAnalyzer::magnitudeSpectrum(
     dsp::CSpan samples) const {
   CARAOKE_PROF_SCOPE(obs::prof::stage::kSpectrum);
-  if (config_.detectionWindow == dsp::WindowKind::kRect)
-    return dsp::magnitude(dsp::fft(samples));
-  const auto window =
-      dsp::makeWindow(config_.detectionWindow, samples.size());
+  const auto window = dsp::makeWindow(dsp::WindowKind::kHann, samples.size());
   // Rescale so a spike's magnitude matches the rectangular convention
   // (|h| * M / 2) regardless of the window's coherent gain.
   const double scale =
@@ -58,7 +54,7 @@ namespace {
 // Shared clock-image rejection over an arbitrary peak list.
 std::vector<dsp::Peak> rejectImages(std::vector<dsp::Peak> peaks,
                                     const SpectrumAnalysisConfig& config) {
-  if (!config.rejectClockImages || peaks.size() < 2) return peaks;
+  if (peaks.size() < 2) return peaks;
   const double bitRateHz = 1.0 / phy::kBitDuration;
   const double binWidth = config.sampling.sampleRateHz /
                           static_cast<double>(config.sampling
@@ -94,7 +90,6 @@ std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikes(
   return rejectImages(dsp::findPeaks(mag, config_.peaks), config_);
 }
 
-
 std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikesSparse(
     dsp::CSpan samples, Rng& rng) const {
   const auto components = dsp::sparseFft(samples, config_.sparse, rng);
@@ -106,26 +101,6 @@ std::vector<dsp::Peak> SpectrumAnalyzer::detectSpikesSparse(
     peaks.push_back({c.bin, std::abs(c.value)});
   }
   return rejectImages(std::move(peaks), config_);
-}
-
-std::vector<TransponderObservation> SpectrumAnalyzer::analyzeSparse(
-    const std::vector<dsp::CVec>& antennaSamples, Rng& rng) const {
-  if (antennaSamples.empty())
-    throw std::invalid_argument("analyzeSparse: no antennas");
-  const auto peaks = detectSpikesSparse(antennaSamples.front(), rng);
-  const dsp::BinMapper mapper = binMapper();
-  std::vector<TransponderObservation> observations;
-  for (const dsp::Peak& p : peaks) {
-    TransponderObservation obs;
-    obs.bin = p.bin;
-    obs.peakMagnitude = p.magnitude;
-    obs.fractionalBin = static_cast<double>(p.bin);
-    obs.cfoHz = obs.fractionalBin * mapper.binWidthHz();
-    for (const dsp::CVec& buf : antennaSamples)
-      obs.channels.push_back(channelAt(buf, obs.fractionalBin));
-    observations.push_back(std::move(obs));
-  }
-  return observations;
 }
 
 std::vector<TransponderObservation> SpectrumAnalyzer::analyze(
@@ -149,9 +124,8 @@ std::vector<TransponderObservation> SpectrumAnalyzer::analyze(
     TransponderObservation obs;
     obs.bin = p.bin;
     obs.peakMagnitude = p.magnitude;
-    obs.fractionalBin = static_cast<double>(p.bin);
-    if (config_.refineFrequency)
-      obs.fractionalBin += dsp::interpolatePeakOffset(mag, p.bin);
+    obs.fractionalBin =
+        static_cast<double>(p.bin) + dsp::interpolatePeakOffset(mag, p.bin);
     obs.cfoHz = obs.fractionalBin * mapper.binWidthHz();
     obs.channels.reserve(antennaSamples.size());
     for (const dsp::CVec& buf : antennaSamples)

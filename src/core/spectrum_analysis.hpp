@@ -33,28 +33,17 @@ struct TransponderObservation {
 struct SpectrumAnalysisConfig {
   phy::SamplingParams sampling{};
   dsp::PeakDetectorConfig peaks{};
-  /// Window applied before the detection FFT. Hann keeps an off-grid
-  /// spike's leakage 31 dB down so its shoulders cannot masquerade as
-  /// additional transponders; channel estimation still runs on the raw
-  /// (rectangular) samples where the h = 2X/M identity is exact.
-  dsp::WindowKind detectionWindow = dsp::WindowKind::kHann;
-  /// Refine each spike's frequency with quadratic interpolation and
-  /// evaluate channels at the fractional bin via Goertzel (sharper than
-  /// the raw 1.95 kHz bin grid).
-  bool refineFrequency = true;
-
   /// Manchester clock-image rejection. The periodic half of the
   /// Manchester waveform puts deterministic lines at +-bitRate (and
   /// odd harmonics) around every transponder's CFO spike, ~15-20% of the
   /// spike's amplitude. A detected peak that sits at such an offset from
   /// a stronger peak and is below imageRatio of it is discarded.
-  bool rejectClockImages = true;
   double imageRatio = 0.35;
   std::size_t imageToleranceBins = 4;
 
-  /// Sparse-FFT detection parameters (used by detectSpikesSparse /
-  /// analyzeSparse only). The bucket threshold doubles as the detection
-  /// threshold, so weak spikes need more buckets/rounds.
+  /// Sparse-FFT detection parameters (used by detectSpikesSparse only).
+  /// The bucket threshold doubles as the detection threshold, so weak
+  /// spikes need more buckets/rounds.
   dsp::SparseFftConfig sparse{};
 
   SpectrumAnalysisConfig();
@@ -66,7 +55,9 @@ class SpectrumAnalyzer {
   explicit SpectrumAnalyzer(SpectrumAnalysisConfig config = {});
 
   /// FFT magnitude spectrum of one antenna buffer (power-of-two length
-  /// required, which the default sampling parameters guarantee).
+  /// required, which the default sampling parameters guarantee). The FFT
+  /// is Hann-windowed, which keeps an off-grid spike's leakage 31 dB down
+  /// so its shoulders cannot masquerade as additional transponders.
   std::vector<double> magnitudeSpectrum(dsp::CSpan samples) const;
 
   /// Peak detection with Manchester clock-image rejection: the spike list
@@ -75,8 +66,11 @@ class SpectrumAnalyzer {
       std::span<const double> magnitudeSpectrum) const;
 
   /// Detect spikes on the reference antenna (index 0) and estimate the
-  /// channel to every antenna at each spike. All buffers must be equal
-  /// length and sampled synchronously (shared LO), as in the real reader.
+  /// channel to every antenna at each spike: on the raw (rectangular)
+  /// samples, where h = 2X/M is exact, at the spike's quadratic-refined
+  /// fractional bin (sharper than the raw 1.95 kHz grid). All buffers
+  /// must be equal length and sampled synchronously (shared LO), as in
+  /// the real reader.
   std::vector<TransponderObservation> analyze(
       const std::vector<dsp::CVec>& antennaSamples) const;
 
@@ -90,11 +84,6 @@ class SpectrumAnalyzer {
   /// images rejected. The Rng drives the sFFT's random strides.
   std::vector<dsp::Peak> detectSpikesSparse(dsp::CSpan samples,
                                             Rng& rng) const;
-
-  /// Full observation extraction using sparse detection (channels are
-  /// still Goertzel probes, which are O(n) per spike).
-  std::vector<TransponderObservation> analyzeSparse(
-      const std::vector<dsp::CVec>& antennaSamples, Rng& rng) const;
 
   const SpectrumAnalysisConfig& config() const { return config_; }
 

@@ -21,9 +21,12 @@ struct AngleSample {
 };
 
 /// Time at which cos(alpha) crosses zero (car abeam of the pole), from a
-/// series of samples. Uses the sign change with the steepest local slope
-/// (robust against noise wiggles far from the pole) and linearly
-/// interpolates. Empty when no crossing exists.
+/// time-ordered series of samples. Each sign change is scored by the
+/// samples consistent with a single crossing there (before it on one side
+/// of zero, after it on the other), so one outlier, which makes two sign
+/// changes, loses to the car's real sweep. Ties go to the steepest local
+/// slope (robust against noise wiggles far from the pole). The winner is
+/// linearly interpolated. Empty when no crossing exists.
 std::optional<double> findAbeamTime(const std::vector<AngleSample>& samples);
 
 /// v = (x2 - x1) / (t2 - t1); returns nullopt for non-positive dt.

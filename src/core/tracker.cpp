@@ -44,9 +44,15 @@ const Track* TransponderTracker::findByCfo(double cfoHz) const {
   return best;
 }
 
-void TransponderTracker::update(
+void TransponderTracker::markIdentified(std::uint64_t trackId) {
+  for (Track& track : tracks_)
+    if (track.trackId == trackId) track.identified = true;
+}
+
+std::vector<AbeamEvent> TransponderTracker::update(
     double t, const std::vector<TrackerObservation>& observations) {
   trackerMetrics().observations.inc(observations.size());
+  std::vector<AbeamEvent> events;
   // Greedy association, strongest observations first: each track takes at
   // most one observation per query.
   std::vector<std::size_t> order(observations.size());
@@ -90,9 +96,6 @@ void TransponderTracker::update(
     track.cosAlphaRate += config_.filterBeta * residual / dt;
     track.lastSeen = t;
     ++track.hits;
-    track.history.push_back({t, track.cosAlpha});
-    if (track.history.size() > config_.maxHistory)
-      track.history.erase(track.history.begin());
 
     // Abeam event: the filtered cosine crossed zero on a confirmed track.
     if (track.confirmed(config_.confirmHits) &&
@@ -105,7 +108,7 @@ void TransponderTracker::update(
           span != 0.0 ? track.lastSeen - dt + dt * (0.0 - before) / span
                       : t;
       event.rate = track.cosAlphaRate;
-      events_.push_back(event);
+      events.push_back(event);
       trackerMetrics().abeam.inc();
     }
   }
@@ -120,7 +123,6 @@ void TransponderTracker::update(
     track.magnitude = observations[oi].magnitude;
     track.firstSeen = track.lastSeen = t;
     track.hits = 1;
-    track.history.push_back({t, track.cosAlpha});
     trackerMetrics().opened.inc();
     if (obs::eventsAttached())
       obs::emitEvent("tracker.track_opened",
@@ -147,12 +149,7 @@ void TransponderTracker::update(
                                  return true;
                                }),
                 tracks_.end());
-}
-
-std::vector<AbeamEvent> TransponderTracker::takeAbeamEvents() {
-  std::vector<AbeamEvent> out;
-  out.swap(events_);
-  return out;
+  return events;
 }
 
 }  // namespace caraoke::core

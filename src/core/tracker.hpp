@@ -5,18 +5,12 @@
 // drift) and spread over 1.2 MHz across devices, so it serves as the
 // association key — the paper uses exactly this to follow cars without
 // decoding them. The tracker maintains one track per device with an
-// EWMA-followed CFO, an alpha-beta-filtered angle state, and a bounded
-// history that downstream applications (speed enforcement, red-light
-// detection) consume as AngleSample series. Abeam crossings (the angle's
-// cos passing zero) are surfaced as events.
+// EWMA-followed CFO and an alpha-beta-filtered angle state. Each update
+// returns the abeam crossings (the angle's cos passing zero) it saw.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <vector>
-
-#include "core/speed.hpp"
 
 namespace caraoke::core {
 
@@ -40,7 +34,8 @@ struct Track {
   double firstSeen = 0.0;
   double lastSeen = 0.0;
   std::size_t hits = 0;
-  std::vector<AngleSample> history;
+  /// An id was decoded on this track (see MeasurementWindow::decode).
+  bool identified = false;
 
   /// Confirmed once it has accumulated enough hits (a spurious data-line
   /// detection rarely persists).
@@ -66,7 +61,6 @@ struct TrackerConfig {
   double filterBeta = 0.3;      ///< alpha-beta rate gain.
   std::size_t confirmHits = 3;
   double dropAfterSec = 1.5;    ///< Track dropped after this silence.
-  std::size_t maxHistory = 512;
 };
 
 /// Tracks transponders across queries and emits abeam events.
@@ -75,7 +69,9 @@ class TransponderTracker {
   explicit TransponderTracker(TrackerConfig config = {});
 
   /// Ingest one query's observations taken at time t (monotone).
-  void update(double t, const std::vector<TrackerObservation>& observations);
+  /// Returns the abeam crossings this update detected.
+  std::vector<AbeamEvent> update(
+      double t, const std::vector<TrackerObservation>& observations);
 
   /// Live tracks (tentative and confirmed).
   const std::vector<Track>& tracks() const { return tracks_; }
@@ -83,13 +79,14 @@ class TransponderTracker {
   /// The track currently associated with a CFO, if any.
   const Track* findByCfo(double cfoHz) const;
 
-  /// Abeam events detected since the last call (consumed on read).
-  std::vector<AbeamEvent> takeAbeamEvents();
+  /// Mark a live track identified; a no-op once the track is dropped.
+  void markIdentified(std::uint64_t trackId);
+
+  const TrackerConfig& config() const { return config_; }
 
  private:
   TrackerConfig config_;
   std::vector<Track> tracks_;
-  std::vector<AbeamEvent> events_;
   std::uint64_t nextId_ = 1;
 };
 

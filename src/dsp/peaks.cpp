@@ -23,19 +23,6 @@ std::pair<std::size_t, std::size_t> searchRange(
 
 }  // namespace
 
-double adaptiveThreshold(std::span<const double> mag,
-                         const PeakDetectorConfig& config) {
-  if (mag.empty()) return config.absoluteFloor;
-  const auto [begin, end] = searchRange(mag.size(), config);
-  const std::span<const double> window =
-      begin < end ? mag.subspan(begin, end - begin) : mag;
-  const double med = median(window);
-  const double mad = medianAbsDeviation(window);
-  // 1.4826 converts MAD to a Gaussian-equivalent sigma.
-  const double t = med + config.thresholdMads * 1.4826 * mad;
-  return std::max(t, config.absoluteFloor);
-}
-
 std::vector<double> cfarThreshold(std::span<const double> mag,
                                   const PeakDetectorConfig& config) {
   const std::size_t n = mag.size();
@@ -70,17 +57,9 @@ std::vector<Peak> findPeaks(std::span<const double> mag,
 
   const auto [begin, end] = searchRange(mag.size(), config);
 
-  std::vector<double> cfar;
-  double global = 0.0;
-  if (config.mode == ThresholdMode::kCfar)
-    cfar = cfarThreshold(mag, config);
-  else
-    global = adaptiveThreshold(mag, config);
-
+  const std::vector<double> cfar = cfarThreshold(mag, config);
   for (std::size_t i = begin; i < end; ++i) {
-    const double threshold =
-        config.mode == ThresholdMode::kCfar ? cfar[i] : global;
-    if (mag[i] < threshold) continue;
+    if (mag[i] < cfar[i]) continue;
     if (mag[i] < mag[i - 1] || mag[i] < mag[i + 1]) continue;
     // Plateau tie-break: only accept the left edge of a flat top.
     if (mag[i] == mag[i - 1]) continue;

@@ -2,9 +2,9 @@
 //
 // A collision's FFT shows one spike per transponder riding on a wideband
 // OOK floor (§5, Fig 4). The detector thresholds adaptively off that floor
-// (median + k * MAD, both robust to the spikes themselves), takes local
-// maxima, and enforces a minimum bin separation so one spike's shoulders are
-// not double-counted.
+// (CFAR: a multiple of the local median, robust to the spikes themselves),
+// takes local maxima, and enforces a minimum bin separation so one spike's
+// shoulders are not double-counted.
 #pragma once
 
 #include <cstddef>
@@ -19,26 +19,14 @@ struct Peak {
   double magnitude = 0.0; ///< |X[bin]|.
 };
 
-/// Threshold strategy.
-enum class ThresholdMode {
-  /// Global: median + k * MAD over the search window. Right for flat
-  /// noise floors.
-  kGlobalMad,
-  /// CFAR: per-bin threshold = factor * local median (window around the
-  /// bin, excluding a guard region). Right for the colored OOK sidelobe
-  /// floor of a collision, where the data spectrum humps near the chip
-  /// rate would defeat a single global threshold.
-  kCfar,
-};
-
-/// Tuning for findPeaks().
+/// Tuning for findPeaks(). The threshold is CFAR: per-bin factor * local
+/// median (a training window around the bin, excluding a guard region).
+/// That suits the colored OOK sidelobe floor of a collision, where the
+/// data spectrum humps near the chip rate would defeat a single global
+/// threshold.
 struct PeakDetectorConfig {
-  ThresholdMode mode = ThresholdMode::kCfar;
-  /// kGlobalMad: threshold = median + thresholdMads * MAD (in sigma via
-  /// the 1.4826 Gaussian consistency factor).
-  double thresholdMads = 8.0;
-  /// kCfar: one-sided training window, one-sided guard, and the factor
-  /// over the local median a bin must exceed.
+  /// One-sided training window, one-sided guard, and the factor over the
+  /// local median a bin must exceed.
   std::size_t cfarWindowBins = 48;
   std::size_t cfarGuardBins = 3;
   double cfarFactor = 3.6;
@@ -50,18 +38,13 @@ struct PeakDetectorConfig {
   std::size_t searchBegin = 0;
   std::size_t searchEnd = 0;
   /// Hard floor on the threshold; guards against an all-noise spectrum
-  /// whose MAD underestimates the floor.
+  /// whose local median underestimates the floor.
   double absoluteFloor = 0.0;
 };
 
 /// Detect peaks in a magnitude spectrum. Results are sorted by bin index.
 std::vector<Peak> findPeaks(std::span<const double> magnitudeSpectrum,
                             const PeakDetectorConfig& config = {});
-
-/// The global (kGlobalMad) threshold over the configured search window,
-/// exposed for diagnostics.
-double adaptiveThreshold(std::span<const double> magnitudeSpectrum,
-                         const PeakDetectorConfig& config = {});
 
 /// The per-bin CFAR threshold curve (factor * local median), exposed for
 /// diagnostics and tests.

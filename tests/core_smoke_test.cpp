@@ -3,6 +3,7 @@
 // physics chain before the statistical experiment suites run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -11,7 +12,7 @@
 #include "core/aoa.hpp"
 #include "core/counter.hpp"
 #include "core/decoder.hpp"
-#include "core/reader.hpp"
+#include "core/measurement_window.hpp"
 #include "sim/medium.hpp"
 #include "sim/scene.hpp"
 
@@ -208,31 +209,61 @@ TEST(CoreSmoke, DecodesBothCollidersFromSharedCollisions) {
   EXPECT_EQ(entries[1].id, devB.id());
 }
 
-TEST(CoreSmoke, ReaderFacadeEndToEnd) {
+TEST(CoreSmoke, MeasurementWindowCountsTracksAndDecodes) {
   Rng rng(48);
   sim::Scene scene(sim::Road{});
   sim::ReaderNode node = makeReader(0.0, -6.0, 60.0);
   scene.addReader(node);
 
   phy::EmpiricalCfoModel cfoModel;
+  std::vector<phy::TransponderId> truth;
   for (int i = 0; i < 4; ++i) {
-    auto mobility = std::make_unique<sim::ParkedMobility>(
-        Vec3{-15.0 + 10.0 * i, 2.0, 1.2});
-    scene.addCar(sim::Transponder::random(cfoModel, rng),
-                 std::move(mobility));
+    sim::Transponder tag = sim::Transponder::random(cfoModel, rng);
+    truth.push_back(tag.id());
+    scene.addCar(std::move(tag), std::make_unique<sim::ParkedMobility>(
+                                     Vec3{-15.0 + 10.0 * i, 2.0, 1.2}));
   }
 
-  core::ReaderConfig config;
-  config.array = geometryFor(node);
-  core::CaraokeReader reader(config);
+  core::MultiQueryCounterConfig counter;
+  counter.noiseSigma = node.frontEnd.noiseSigma;
+  core::MeasurementWindow window(geometryFor(node), node.frontEnd.sampling,
+                                 counter);
+  std::vector<phy::TransponderId> decoded;
+  std::vector<double> decodedCfos;
+  for (int w = 0; w < 8; ++w) {
+    const double t = static_cast<double>(w);
+    core::Burst burst;
+    for (int q = 0; q < 8; ++q)
+      burst.push_back(scene.query(0, t, rng).antennaSamples);
+    const auto count = window.count(burst);
+    EXPECT_GE(count.estimate, 3u);  // CFO collisions can merge two
+    EXPECT_LE(count.estimate, 5u);
+    window.observe(t, burst, count);
+    if (const auto attempt = window.decode(burst, 8)) {
+      // A track that has its id is never targeted again.
+      for (const double cfo : decodedCfos)
+        EXPECT_GT(std::abs(attempt->cfoHz - cfo), 4e3);
+      if (attempt->id) {
+        decoded.push_back(*attempt->id);
+        decodedCfos.push_back(attempt->cfoHz);
+      }
+    }
+  }
 
-  const sim::Capture capture = scene.query(0, 0.0, rng);
-  const auto sightings = reader.observe(capture.antennaSamples);
-  EXPECT_GE(sightings.size(), 3u);  // CFO collisions can merge two
-  EXPECT_LE(sightings.size(), 4u);
-  const auto count = reader.count(capture.antennaSamples);
-  EXPECT_GE(count.estimate, 3u);
-  EXPECT_LE(count.estimate, 5u);
+  // One confirmed track per resolved transponder; the decoded ones are
+  // marked identified.
+  const auto& tracks = window.tracker().tracks();
+  EXPECT_GE(tracks.size(), 3u);
+  EXPECT_LE(tracks.size(), 4u);
+  std::size_t identified = 0;
+  for (const auto& track : tracks) {
+    EXPECT_TRUE(track.confirmed(core::TrackerConfig{}.confirmHits));
+    if (track.identified) ++identified;
+  }
+  ASSERT_GE(decoded.size(), 1u);
+  EXPECT_EQ(identified, decoded.size());
+  for (const auto& id : decoded)
+    EXPECT_NE(std::find(truth.begin(), truth.end(), id), truth.end());
 }
 
 }  // namespace

@@ -39,6 +39,7 @@ sim::Scene plazaScene(Rng& rng, std::size_t cars) {
 struct PlazaRun {
   std::vector<std::uint8_t> stream;  ///< Every uplink frame, in order.
   std::vector<std::uint8_t> state;   ///< Backend::stateBytes() at the end.
+  std::size_t decodes = 0;           ///< Ids the backend ingested.
 };
 
 // Drive both plaza readers for `untilSec` of simulated time over
@@ -71,7 +72,18 @@ PlazaRun runPlazaOnce(std::uint64_t seed, double untilSec) {
         run.stream.insert(run.stream.end(), frame.begin(), frame.end());
   }
   run.state = backend.stateBytes();
+  run.decodes = backend.decodes().size();
   return run;
+}
+
+// FNV-1a, 64-bit.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf2'9ce4'8422'2325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x0000'0100'0000'01b3ull;
+  }
+  return h;
 }
 
 TEST(Determinism, SeededPlazaReplaysByteIdentical) {
@@ -80,6 +92,18 @@ TEST(Determinism, SeededPlazaReplaysByteIdentical) {
   ASSERT_FALSE(first.stream.empty());  // the scene really produced reports
   EXPECT_EQ(first.stream, second.stream);  // bit-for-bit, not "same counts"
   EXPECT_EQ(first.state, second.state);
+}
+
+// The replay tests above compare two runs of one build; this golden pins
+// the plaza's bytes across commits. A change that means to move reader
+// or backend output updates these digests and says why in CHANGES.md.
+TEST(Determinism, SeededPlazaMatchesGoldenDigests) {
+  const auto run = runPlazaOnce(0xD0D0'CAFE, 30.0);
+  EXPECT_EQ(run.stream.size(), 12975u);
+  EXPECT_EQ(fnv1a(run.stream), 0xdfa6'7eac'1b18'01a5ull);
+  EXPECT_EQ(run.state.size(), 19131u);
+  EXPECT_EQ(fnv1a(run.state), 0x4ccf'ca80'198b'aeebull);
+  EXPECT_EQ(run.decodes, 5u);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {

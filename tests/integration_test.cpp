@@ -10,7 +10,7 @@
 #include "apps/red_light.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/reader.hpp"
+#include "core/measurement_window.hpp"
 #include "net/backend.hpp"
 #include "net/clock.hpp"
 #include "scenes_helpers.hpp"
@@ -150,15 +150,7 @@ TEST(Integration, RedLightRunnerCaughtWithDecodedId) {
   const core::ArrayGeometry geometry = testhelpers::geometryFor(node);
   const core::AoaEstimator estimator(geometry);
   // Road-parallel pair for the crossing detector.
-  std::size_t roadPair = 0;
-  double bestAlign = -1.0;
-  for (std::size_t p = 0; p < geometry.pairs.size(); ++p) {
-    const double align = std::abs(geometry.baselineDirection(p).x);
-    if (align > bestAlign) {
-      bestAlign = align;
-      roadPair = p;
-    }
-  }
+  const std::size_t roadPair = geometry.roadPair();
 
   std::vector<core::AngleSample> track;
   const double targetCfo =
@@ -204,28 +196,26 @@ TEST(Integration, SceneQueryCountObserveDecodeRoundTrip) {
                                    phy::Vec3{-10.0 + 10.0 * i, 2.0, 1.2}));
   }
 
-  core::ReaderConfig config;
-  config.array = testhelpers::geometryFor(node);
-  core::CaraokeReader reader(config);
+  core::MeasurementWindow window(testhelpers::geometryFor(node),
+                                 node.frontEnd.sampling);
 
-  // Count via a burst.
-  std::vector<dsp::CVec> burst;
+  // Count and observe one burst.
+  core::Burst burst;
   for (int q = 0; q < 10; ++q)
-    burst.push_back(scene.query(readerIdx, 0.0, rng).antennaSamples.front());
-  core::MultiQueryCounter counter;
-  EXPECT_EQ(counter.count(burst).estimate, 3u);
-
-  // Observe + AoA through the facade.
-  const auto capture = scene.query(readerIdx, 0.0, rng);
-  const auto sightings = reader.observe(capture.antennaSamples);
-  EXPECT_GE(sightings.size(), 2u);
+    burst.push_back(scene.query(readerIdx, 0.0, rng).antennaSamples);
+  const auto count = window.count(burst);
+  EXPECT_EQ(count.estimate, 3u);
+  window.observe(0.0, burst, count);
+  EXPECT_GE(window.tracker().tracks().size(), 2u);
 
   // Decode everyone from the stored burst.
-  std::vector<dsp::CVec> collisions = burst;
+  std::vector<dsp::CVec> collisions;
+  for (const auto& antennas : burst) collisions.push_back(antennas.front());
   for (int q = 0; q < 30; ++q)
     collisions.push_back(
         scene.query(readerIdx, 0.0, rng).antennaSamples.front());
-  const auto entries = reader.decodeAll(collisions);
+  const auto entries = core::decodeAll(collisions, core::DecoderConfig{},
+                                       core::SpectrumAnalysisConfig{});
   std::size_t decoded = 0;
   for (const auto& entry : entries)
     if (entry.decoded)

@@ -270,6 +270,22 @@ TEST(Speed, AbeamTimePicksSteepestCrossing) {
   EXPECT_NEAR(*t, 3.5, 1e-9);
 }
 
+TEST(Speed, AbeamTimeIgnoresOneOutlierSample) {
+  // A corridor pole's cluster for one car, sampled every 0.25 s, with
+  // elided samples filled in by a smooth sweep. At 8.02 s another car's
+  // data line, abeam of the pole at that moment, landed in the cluster:
+  // it makes two sign changes, and the first is steeper than the car's
+  // own crossing near 6.17 s.
+  std::vector<AngleSample> samples{
+      {4.77, -0.75}, {5.02, -0.66}, {5.27, -0.55}, {5.52, -0.45},
+      {5.77, -0.34}, {6.02, -0.22}, {6.27, 0.15},  {6.52, 0.38},
+      {6.77, 0.58},  {7.02, 0.74},  {7.27, 0.85},  {7.52, 0.93},
+      {7.77, 0.98},  {8.02, -0.01}, {8.27, 0.15}};
+  const auto t = findAbeamTime(samples);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_NEAR(*t, 6.02 + 0.25 * 0.22 / 0.37, 1e-9);
+}
+
 TEST(Speed, NoCrossingReturnsEmpty) {
   std::vector<AngleSample> samples{{0, 0.5}, {1, 0.4}, {2, 0.3}};
   EXPECT_FALSE(findAbeamTime(samples).has_value());

@@ -19,10 +19,13 @@ namespace {
 TEST(Tracker, SingleTargetFollowsAngleSweep) {
   core::TransponderTracker tracker;
   // A car sweeping cosAlpha from +0.8 to -0.8 at CFO 500 kHz.
+  std::vector<core::AbeamEvent> events;
   for (int k = 0; k <= 40; ++k) {
     const double t = 0.05 * k;
     const double cosAlpha = 0.8 - 0.04 * k;
-    tracker.update(t, {{500e3 + (k % 3) * 50.0, cosAlpha, 1.0}});
+    for (const auto& event :
+         tracker.update(t, {{500e3 + (k % 3) * 50.0, cosAlpha, 1.0}}))
+      events.push_back(event);
   }
   ASSERT_EQ(tracker.tracks().size(), 1u);
   const core::Track& track = tracker.tracks().front();
@@ -30,12 +33,10 @@ TEST(Tracker, SingleTargetFollowsAngleSweep) {
   EXPECT_NEAR(track.cfoHz, 500e3, 200.0);
   EXPECT_LT(track.cosAlphaRate, 0.0);
 
-  const auto events = tracker.takeAbeamEvents();
+  // Reported once, by the update that saw the crossing.
   ASSERT_EQ(events.size(), 1u);
   // cosAlpha = 0.8 - 0.8*t crosses zero at t = 1.0.
   EXPECT_NEAR(events[0].crossingTime, 1.0, 0.1);
-  // Events are consumed on read.
-  EXPECT_TRUE(tracker.takeAbeamEvents().empty());
 }
 
 TEST(Tracker, TwoTargetsStaySeparate) {
@@ -69,9 +70,8 @@ TEST(Tracker, TentativeTracksEmitNoEvents) {
   config.confirmHits = 5;
   core::TransponderTracker tracker(config);
   // A two-sample flash that crosses zero but never confirms.
-  tracker.update(0.0, {{400e3, 0.4, 1.0}});
-  tracker.update(0.1, {{400e3, -0.4, 1.0}});
-  EXPECT_TRUE(tracker.takeAbeamEvents().empty());
+  EXPECT_TRUE(tracker.update(0.0, {{400e3, 0.4, 1.0}}).empty());
+  EXPECT_TRUE(tracker.update(0.1, {{400e3, -0.4, 1.0}}).empty());
 }
 
 TEST(Tracker, FollowsCfoDrift) {
