@@ -1,8 +1,8 @@
 // Telemetry demo and self-check: run the reader firmware loop over a
 // small toll-plaza scene with every sink attached, then dump what an
 // operator would scrape — the Prometheus-style exposition text (global +
-// per-daemon registries), a span-tree profile of the measurement windows,
-// and a JSON-lines event log.
+// per-daemon registries), the profiler trie of the measurement windows as
+// folded stacks, and a JSON-lines event log.
 //
 // Usage: telemetry_dump [events.jsonl]
 //
@@ -22,7 +22,7 @@
 #include "net/link.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/prof.hpp"
 #include "sim/scene.hpp"
 
 using namespace caraoke;
@@ -58,8 +58,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   obs::attachEventSink(&eventFile);
-  obs::SpanTreeSink spans;
-  obs::attachTraceSink(&spans);
 
   // A plaza lane: one gantry reader, four parked/tagged cars in range.
   Rng rng(21);
@@ -94,15 +92,14 @@ int main(int argc, char** argv) {
   }
   backend.fuse(30.0);
 
-  obs::attachTraceSink(nullptr);
   obs::attachEventSink(nullptr);
 
   std::printf("# ---- global registry (process-wide instrumentation) ----\n");
   std::printf("%s", obs::globalRegistry().expositionText().c_str());
   std::printf("\n# ---- daemon registry (per-instance) ----\n");
   std::printf("%s", daemon.registry().expositionText().c_str());
-  std::printf("\n# ---- span tree (per measurement window) ----\n");
-  std::printf("%s", spans.summary().c_str());
+  std::printf("\n# ---- profile trie (folded stacks, self cycles) ----\n");
+  std::printf("%s", obs::prof::foldedText().c_str());
   std::printf("\n# wrote %zu events to %s\n", eventFile.linesWritten(),
               eventsPath.c_str());
 

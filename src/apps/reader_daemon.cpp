@@ -141,12 +141,6 @@ void ReaderDaemon::recordEvent(const char* type,
   event.ts = obs::monotonicSeconds();
   event.type = type;
   event.fields = std::move(fields);
-  // Events born inside a traced scope (the measurement window) carry the
-  // journey's trace id; events that already name a trace (link attempts)
-  // run outside any scope and are untouched.
-  const obs::TraceContext trace = obs::currentTraceContext();
-  if (trace.valid())
-    event.fields.emplace_back("trace", obs::traceHex(trace.traceId));
   if (obs::eventsAttached()) obs::emitEvent(event.type, event.fields);
   flight_.record(std::move(event));
 }
@@ -158,36 +152,29 @@ void ReaderDaemon::accountActive(double activeSec) {
 void ReaderDaemon::measurementWindow(double now) {
   // Mint this window's trace context: every count/sighting/decode born
   // in this burst shares the traceId end to end — through the outbox, the
-  // v3 wire envelope, and into the backend's ingest/speed-pairing spans.
+  // v3 wire envelope, and into the backend's ingest/speed-fix events.
+  // The window's own events carry it as their last field, `trace`.
   // `| 1` keeps ids non-zero (0 is the "no trace" sentinel).
   const obs::TraceContext trace{traceRng_.next() | 1ull,
                                 traceRng_.next() | 1ull};
-  obs::ScopedTraceContext traceScope(trace);
-  obs::ObsSpan windowSpan("daemon.measurement_window", windowSec_);
+  const std::string traceHex = obs::traceHex(trace.traceId);
+  obs::ObsSpan windowSpan(windowSec_);
 
   // Fire the query burst.
   core::Burst burst;
-  {
-    obs::ObsSpan span("daemon.query_burst",
-                      registry_.histogram("daemon.query_burst.seconds"));
-    for (std::size_t q = 0; q < config_.queriesPerWindow; ++q)
-      burst.push_back(scene_.query(readerIndex_, now, rng_).antennaSamples);
-  }
+  for (std::size_t q = 0; q < config_.queriesPerWindow; ++q)
+    burst.push_back(scene_.query(readerIndex_, now, rng_).antennaSamples);
   queriesCtr_.inc(config_.queriesPerWindow);
   accountActive(static_cast<double>(config_.queriesPerWindow) *
                 phy::kQueryInterval);
   recordEvent("daemon.query_burst",
               {{"t", now},
                {"reader_id", config_.readerId},
-               {"queries", config_.queriesPerWindow}});
+               {"queries", config_.queriesPerWindow},
+               {"trace", traceHex}});
 
   // Count and report.
-  core::CountResult count;
-  {
-    obs::ObsSpan span("daemon.count",
-                      registry_.histogram("daemon.count.seconds"));
-    count = window_.count(burst);
-  }
+  const core::CountResult count = window_.count(burst);
   {
     std::size_t multiBins = 0;
     for (const auto occ : count.occupancy)
@@ -197,7 +184,8 @@ void ReaderDaemon::measurementWindow(double now) {
                  {"reader_id", config_.readerId},
                  {"spikes", count.spikes},
                  {"estimate", count.estimate},
-                 {"multi_bins", multiBins}});
+                 {"multi_bins", multiBins},
+                 {"trace", traceHex}});
   }
   outbox_.add(net::Message{net::CountReport{
       config_.readerId, clock_.localTime(now),
@@ -206,29 +194,23 @@ void ReaderDaemon::measurementWindow(double now) {
   countsReportedCtr_.inc();
 
   // Observe, then report every confirmed track seen this window.
-  {
-    obs::ObsSpan span("daemon.observe",
-                      registry_.histogram("daemon.observe.seconds"));
-    window_.observe(now, burst, count);
-    for (const core::Track& track : window_.tracker().tracks()) {
-      if (!track.confirmed(config_.tracker.confirmHits)) continue;
-      if (track.lastSeen < now) continue;  // not seen this window
-      net::SightingReport sighting;
-      sighting.readerId = config_.readerId;
-      sighting.timestamp = clock_.localTime(now);
-      sighting.cfoHz = track.cfoHz;
-      sighting.pairIndex = static_cast<std::uint32_t>(window_.roadPair());
-      sighting.angleRad = std::acos(std::clamp(track.cosAlpha, -1.0, 1.0));
-      sighting.traceId = trace.traceId;
-      sighting.spanId = trace.spanId;
-      outbox_.add(net::Message{sighting});
-      sightingsReportedCtr_.inc();
-    }
+  window_.observe(now, burst, count);
+  for (const core::Track& track : window_.tracker().tracks()) {
+    if (!track.confirmed(config_.tracker.confirmHits)) continue;
+    if (track.lastSeen < now) continue;  // not seen this window
+    net::SightingReport sighting;
+    sighting.readerId = config_.readerId;
+    sighting.timestamp = clock_.localTime(now);
+    sighting.cfoHz = track.cfoHz;
+    sighting.pairIndex = static_cast<std::uint32_t>(window_.roadPair());
+    sighting.angleRad = std::acos(std::clamp(track.cosAlpha, -1.0, 1.0));
+    sighting.traceId = trace.traceId;
+    sighting.spanId = trace.spanId;
+    outbox_.add(net::Message{sighting});
+    sightingsReportedCtr_.inc();
   }
 
   // Opportunistic decode on the strongest track that has no id yet.
-  obs::ObsSpan decodeSpan("daemon.decode",
-                          registry_.histogram("daemon.decode.seconds"));
   if (const auto attempt =
           window_.decode(burst, config_.decodeCollisionsPerWindow)) {
     if (attempt->id) {
@@ -247,7 +229,8 @@ void ReaderDaemon::measurementWindow(double now) {
                  {"reader_id", config_.readerId},
                  {"cfo_hz", attempt->cfoHz},
                  {"combines", attempt->combines},
-                 {"crc_ok", attempt->id.has_value()}});
+                 {"crc_ok", attempt->id.has_value()},
+                 {"trace", traceHex}});
   }
 
   // The window's reports are now queued in the outbox — the journey's
@@ -255,7 +238,8 @@ void ReaderDaemon::measurementWindow(double now) {
   recordEvent("daemon.enqueue",
               {{"t", now},
                {"reader_id", config_.readerId},
-               {"queued", outbox_.openMessages()}});
+               {"queued", outbox_.openMessages()},
+               {"trace", traceHex}});
 
   measurementsCtr_.inc();
 }

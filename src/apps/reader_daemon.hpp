@@ -67,7 +67,7 @@ struct ReaderDaemonConfig {
   /// (0 = OS-assigned ephemeral port; read it back via expoPort()).
   /// Negative (default) keeps the daemon network-silent.
   int expoPort = -1;
-  /// Flight recorder depth: the last this-many events/spans survive for
+  /// Flight recorder depth: the last this-many events survive for
   /// post-mortems.
   std::size_t flightCapacity = 256;
   /// When non-empty, every transition into degraded/uplink_down dumps

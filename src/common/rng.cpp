@@ -18,8 +18,12 @@ std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(eng_);
+  // Scale a standard normal ourselves: std::normal_distribution requires
+  // stddev > 0, and callers pass 0 to freeze a noise source. For
+  // stddev > 0 this is libstdc++'s own expression, so the draws and the
+  // result bits are unchanged.
+  std::normal_distribution<double> standard(0.0, 1.0);
+  return standard(eng_) * stddev + mean;
 }
 
 double Rng::truncatedGaussian(double mean, double stddev, double lo,

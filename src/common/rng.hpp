@@ -27,6 +27,7 @@ class Rng {
   std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
   /// Standard normal sample scaled to the given mean / standard deviation.
+  /// stddev 0 returns `mean` (and still advances the stream).
   double gaussian(double mean, double stddev);
 
   /// Gaussian truncated to [lo, hi] by rejection (falls back to clamping

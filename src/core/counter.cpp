@@ -10,14 +10,13 @@
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/prof_stages.hpp"
-#include "obs/trace.hpp"
 
 namespace caraoke::core {
 
 namespace {
 
-// Counting telemetry: spike totals, the per-spike ambiguity-test verdicts
-// (the §5 phase-rotation / cross-query CV tests), and stage timers.
+// Counting telemetry: spike totals and the per-spike ambiguity-test
+// verdicts (the §5 phase-rotation / cross-query CV tests).
 struct CounterMetrics {
   obs::Counter& counts =
       obs::globalRegistry().counter("counter.count_calls");
@@ -28,10 +27,6 @@ struct CounterMetrics {
       obs::globalRegistry().counter("counter.phase_test.multi");
   obs::Counter& adaptiveRepasses =
       obs::globalRegistry().counter("counter.adaptive_cfar_repasses");
-  obs::Histogram& singleShotSec =
-      obs::globalRegistry().histogram("counter.single_shot.seconds");
-  obs::Histogram& multiQuerySec =
-      obs::globalRegistry().histogram("counter.multi_query.seconds");
 };
 
 CounterMetrics& counterMetrics() {
@@ -75,7 +70,6 @@ dsp::CVec paddedWindowFft(dsp::CSpan samples, std::size_t offset,
 CountResult TransponderCounter::count(dsp::CSpan samples) const {
   CARAOKE_PROF_BURST();
   CARAOKE_PROF_SCOPE(obs::prof::stage::kCount);
-  obs::ObsSpan span("counter.single_shot", counterMetrics().singleShotSec);
   const SpectrumAnalyzer analyzer(config_.analysis);
   const std::vector<double> mag = analyzer.magnitudeSpectrum(samples);
   const std::vector<dsp::Peak> peaks = analyzer.detectSpikes(mag);
@@ -154,7 +148,7 @@ MultiQueryCounter::MultiQueryCounter(MultiQueryCounterConfig config)
 CountResult MultiQueryCounter::count(
     const std::vector<dsp::CVec>& collisions) const {
   if (collisions.empty()) return {};
-  obs::ObsSpan span("counter.multi_query", counterMetrics().multiQuerySec);
+  CARAOKE_PROF_SCOPE(obs::prof::stage::kCount);
 
   // Query-averaged magnitude spectrum: spikes stay put, the floor's
   // random component shrinks by sqrt(Q). Computed once; both detection

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/prof_stages.hpp"
-#include "obs/trace.hpp"
 #include "phy/ook.hpp"
 #include "phy/protocol.hpp"
 #include "phy/sync.hpp"
@@ -30,8 +29,6 @@ struct DecoderMetrics {
       obs::globalRegistry().counter("decoder.chase_rescues");
   obs::Counter& timingRescues =
       obs::globalRegistry().counter("decoder.timing_rescues");
-  obs::Histogram& addCollisionSec =
-      obs::globalRegistry().histogram("decoder.add_collision.seconds");
 };
 
 DecoderMetrics& decoderMetrics() {
@@ -92,7 +89,6 @@ std::optional<phy::TransponderId> CollisionDecoder::addCollision(
   CARAOKE_PROF_BURST();
   CARAOKE_PROF_SCOPE(obs::prof::stage::kDecode);
   DecoderMetrics& metrics = decoderMetrics();
-  obs::ObsSpan span("decoder.add_collision", metrics.addCollisionSec);
   const std::size_t n = samples.size();
   const dsp::BinMapper mapper(n, config_.sampling.sampleRateHz);
 

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/prof.hpp"
+#include "obs/prof_stages.hpp"
+
 namespace caraoke::core {
 
 MeasurementWindow::MeasurementWindow(ArrayGeometry geometry,
@@ -32,6 +35,7 @@ CountResult MeasurementWindow::count(const Burst& burst) const {
 std::vector<AbeamEvent> MeasurementWindow::observe(double t,
                                                    const Burst& burst,
                                                    const CountResult& count) {
+  CARAOKE_PROF_SCOPE(obs::prof::stage::kObserve);
   std::vector<std::vector<TransponderObservation>> perQuery;
   perQuery.reserve(burst.size());
   for (const auto& antennas : burst)

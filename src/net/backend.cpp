@@ -61,6 +61,12 @@ struct BackendMetrics {
       obs::globalRegistry().counter("net.backend.snapshots_rejected");
   obs::Counter& restores =
       obs::globalRegistry().counter("net.backend.restores");
+  // Boundary timers: their quantiles land in every bench --json report
+  // and BENCH_*.json trend.
+  obs::Histogram& ingestBatchSec =
+      obs::globalRegistry().histogram("net.backend.ingest_batch");
+  obs::Histogram& restoreSec =
+      obs::globalRegistry().histogram("net.backend.restore");
 };
 
 BackendMetrics& backendMetrics() {
@@ -172,14 +178,10 @@ caraoke::Result<BatchIngestStats> Backend::ingestBatch(
   if (batch.droppedMessages > 0)
     backendMetrics().salvagedDrops.inc(batch.droppedMessages);
 
-  // Trace provenance recovered from the v3 envelope: the ingest span
-  // joins the first aboard journey's trace, and one backend.ingest event
-  // per distinct trace marks the journey's arrival at the backend.
+  // Trace provenance recovered from the v3 envelope: one backend.ingest
+  // event per distinct trace marks the journey's arrival at the backend.
   const std::vector<std::uint64_t> traces = batchTraceIds(batch.messages);
-  obs::ScopedTraceContext traceScope(
-      traces.empty() ? obs::TraceContext{}
-                     : obs::TraceContext{traces.front(), 0});
-  obs::ObsSpan ingestSpan("net.backend.ingest_batch");
+  obs::ObsSpan ingestSpan(backendMetrics().ingestBatchSec);
 
   // Frame decoding above touched no shared state; the dedup/gap
   // accounting and report buffers below do.
@@ -474,21 +476,16 @@ std::vector<SpeedFix> Backend::pairSpeeds(double now) {
           fix.traceId = s.traceId;
         }
       }
-      {
-        // The speed-pairing span (and event) joins the originating
-        // reader's trace — the end of the end-to-end journey.
-        obs::ScopedTraceContext traceScope(
-            obs::TraceContext{fix.traceId, 0});
-        obs::ObsSpan span("net.backend.speed_pair");
-        recordEvent("backend.speed_fix",
-                    {{"reader_a", fix.readerA},
-                     {"reader_b", fix.readerB},
-                     {"cfo_hz", fix.cfoHz},
-                     {"speed_mps", fix.speedMps},
-                     {"t_abeam_a", fix.abeamTimeA},
-                     {"t_abeam_b", fix.abeamTimeB},
-                     {"trace", obs::traceHex(fix.traceId)}});
-      }
+      // The speed-fix event joins the originating reader's trace — the
+      // end of the end-to-end journey.
+      recordEvent("backend.speed_fix",
+                  {{"reader_a", fix.readerA},
+                   {"reader_b", fix.readerB},
+                   {"cfo_hz", fix.cfoHz},
+                   {"speed_mps", fix.speedMps},
+                   {"t_abeam_a", fix.abeamTimeA},
+                   {"t_abeam_b", fix.abeamTimeB},
+                   {"trace", obs::traceHex(fix.traceId)}});
       backendMetrics().speedFixes.inc();
       fixes.push_back(fix);
       a.consumed = true;
@@ -619,7 +616,7 @@ caraoke::Result<RestoreStats> Backend::restore() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (config_.durability.dir.empty())
     return R::failure("durability not configured (empty dir)");
-  obs::ObsSpan span("net.backend.restore");
+  obs::ObsSpan span(backendMetrics().restoreSec);
   std::error_code ec;
   std::filesystem::create_directories(config_.durability.dir, ec);
 

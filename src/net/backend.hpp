@@ -211,8 +211,8 @@ class Backend {
 
   /// Pair abeam crossings across readers into speed estimates (§7).
   /// Consumes the matched angle samples and expires ones older than
-  /// config.speedWindowSec. Each fix emits a `net.backend.speed_pair`
-  /// span and a `backend.speed_fix` event under the fix's trace context.
+  /// config.speedWindowSec. Each fix emits a `backend.speed_fix` event
+  /// carrying the fix's trace.
   std::vector<SpeedFix> pairSpeeds(double now);
 
   /// Angle samples currently buffered for speed pairing.
@@ -300,8 +300,8 @@ class Backend {
 
   /// Guards all mutable state below (flight_ has its own lock).
   /// Lock order (DESIGN.md §10): while mutex_ is held the backend may
-  /// acquire FlightRecorder/EventSink/TraceSink/Registry locks (events,
-  /// spans, metric resolution); it never acquires an Outbox lock.
+  /// acquire FlightRecorder/EventSink/Registry locks (events, metric
+  /// resolution); it never acquires an Outbox lock.
   mutable std::mutex mutex_;
   BackendConfig config_;
   std::map<std::uint32_t, core::ArrayGeometry> readers_

@@ -22,27 +22,6 @@ void FlightRecorder::record(Event event) {
   ++total_;
 }
 
-void FlightRecorder::onSpanBegin(const char* name, int depth,
-                                 double startSec) {
-  (void)name;
-  (void)depth;
-  (void)startSec;
-}
-
-void FlightRecorder::onSpanEnd(const SpanRecord& span) {
-  Event event;
-  event.ts = span.endSec;
-  event.type = "obs.span";
-  event.fields.emplace_back("name", span.name);
-  event.fields.emplace_back("depth", span.depth);
-  event.fields.emplace_back("duration_sec", span.endSec - span.startSec);
-  if (span.traceId != 0) {
-    event.fields.emplace_back("trace", traceHex(span.traceId));
-    event.fields.emplace_back("span", traceHex(span.spanId));
-  }
-  record(std::move(event));
-}
-
 std::size_t FlightRecorder::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ring_.size();

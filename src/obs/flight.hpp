@@ -1,16 +1,15 @@
 // Crash/degradation flight recorder: a fixed-capacity ring buffer that
-// always retains the last K structured events and span records, so the
-// moment a daemon's watchdog trips (degraded / uplink_down) there is a
-// post-mortem trail to dump — without paying for an unbounded log in the
-// steady state. This is the black box the chaos tests read after a
+// always retains the last K structured events, so the moment a daemon's
+// watchdog trips (degraded / uplink_down) there is a post-mortem trail
+// to dump — without paying for an unbounded log in the steady state. This is the black box the chaos tests read after a
 // failure: "what was the reader doing in the 200 windows before the
 // uplink died?".
 //
-// The recorder is both an EventSink and a TraceSink, so it can be
-// attached process-wide (tests, tools) or fed directly (ReaderDaemon
-// records its own events into a private recorder regardless of whether a
-// global sink is attached). All entries normalize to obs::Event; span
-// records become `obs.span` events carrying name/depth/duration fields.
+// The recorder is an EventSink, so it can be attached process-wide
+// (tests, tools) or fed directly (ReaderDaemon and Backend record their
+// own events into a private recorder regardless of whether a global
+// sink is attached). Events that belong to a journey carry an explicit
+// `trace` field, which the filtered snapshot() matches on.
 //
 // Thread safety: every method takes the internal mutex; recording is a
 // ring-slot assignment (no allocation churn beyond the Event's own
@@ -25,12 +24,11 @@
 
 #include "common/thread_annotations.hpp"
 #include "obs/events.hpp"
-#include "obs/trace.hpp"
 
 namespace caraoke::obs {
 
-/// Fixed-capacity ring of the most recent events/spans.
-class FlightRecorder : public EventSink, public TraceSink {
+/// Fixed-capacity ring of the most recent events.
+class FlightRecorder : public EventSink {
  public:
   /// `capacity` is clamped to >= 1 (a zero-capacity black box records
   /// nothing and would turn every dump into an empty file silently).
@@ -41,11 +39,6 @@ class FlightRecorder : public EventSink, public TraceSink {
 
   // EventSink: events flow straight into the ring.
   void emit(const Event& event) override { record(event); }
-
-  // TraceSink: only completed spans are retained (begin notifications
-  // carry no duration and would double the ring pressure).
-  void onSpanBegin(const char* name, int depth, double startSec) override;
-  void onSpanEnd(const SpanRecord& span) override;
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const;

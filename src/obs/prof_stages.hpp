@@ -13,10 +13,16 @@
 //
 // Taxonomy: `<layer>.<stage>` mirroring the per-burst pipeline
 // (window -> fft -> peak -> cfo -> coherent_sum -> manchester ->
-// decode) plus the composite entry points that wrap them.
+// decode) plus the composite entry points that wrap them. A reader
+// daemon's measurement window roots at its four steps: sim.query (per
+// query), core.count, core.observe and core.decode (per combine).
 #pragma once
 
 namespace caraoke::obs::prof::stage {
+
+// sim: the world model, so reader cost and simulated-air cost share one
+// trie and one clock.
+inline constexpr char kQuery[] = "sim.query";
 
 // dsp: leaf kernels of the per-burst pipeline.
 inline constexpr char kWindow[] = "dsp.window";
@@ -33,6 +39,7 @@ inline constexpr char kManchester[] = "phy.manchester";
 // core: composite pipeline entry points.
 inline constexpr char kAnalyze[] = "core.analyze";
 inline constexpr char kCount[] = "core.count";
+inline constexpr char kObserve[] = "core.observe";
 inline constexpr char kDecode[] = "core.decode";
 inline constexpr char kCoherentSum[] = "core.coherent_sum";
 inline constexpr char kChase[] = "core.chase";

@@ -54,9 +54,7 @@ struct FrontEndConfig {
 struct ReaderNode {
   Pole pole;
   /// Antenna baseline d (paper: lambda/2 = 6.5 in) and array tilt.
-  double baselineMeters = phy::kCarrierNominalHz > 0
-                              ? 0.1651
-                              : 0.1651;  // 6.5 inches
+  double baselineMeters = 0.1651;  // 6.5 inches
   double tiltRad = 0.0;
   FrontEndConfig frontEnd{};
 

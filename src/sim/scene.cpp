@@ -1,6 +1,8 @@
 #include "sim/scene.hpp"
 
 #include "common/units.hpp"
+#include "obs/prof.hpp"
+#include "obs/prof_stages.hpp"
 
 namespace caraoke::sim {
 
@@ -54,6 +56,7 @@ std::vector<std::size_t> Scene::carsInRange(std::size_t readerIndex,
 }
 
 Capture Scene::query(std::size_t readerIndex, double t, Rng& rng) {
+  CARAOKE_PROF_SCOPE(obs::prof::stage::kQuery);
   const std::vector<std::size_t> active = carsInRange(readerIndex, t);
   std::vector<ActiveDevice> devices;
   devices.reserve(active.size());

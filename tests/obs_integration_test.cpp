@@ -1,13 +1,16 @@
 // End-to-end telemetry test: run the reader firmware loop against a
 // simulated scene with an event sink attached and check that (a) the
 // domain-event stream tells the §10 story in order — query burst, count,
-// decode attempt, uplink flush — (b) DaemonStats is exactly the registry
-// (it is a view, so any disagreement is a bug in the view), and (c) the
-// global registry picks up the pipeline counters end to end through the
-// backend.
+// decode attempt, uplink flush — with one trace per window, (b)
+// DaemonStats is exactly the registry (it is a view, so any disagreement
+// is a bug in the view), (c) the global registry picks up the pipeline
+// counters end to end through the backend, and (d) the profiler trie
+// roots at the window's steps.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,7 +19,7 @@
 #include "net/backend.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/prof.hpp"
 #include "scenes_helpers.hpp"
 #include "sim/scene.hpp"
 
@@ -104,6 +107,34 @@ TEST(ObsIntegration, DaemonEmitsPipelineEventSequence) {
     EXPECT_GE(rank, lastRank) << event.type << " out of order at t=" << simT;
     lastRank = rank;
   }
+
+  // Trace stamping: each window's query_burst, count, decode_attempt and
+  // enqueue share one trace, minted fresh per window; the uplink flush
+  // and the NTP sync belong to no window and carry none.
+  std::map<double, std::string> windowTrace;
+  std::set<std::string> minted;
+  for (const auto& event : events) {
+    const obs::FieldValue* trace = event.find("trace");
+    if (event.type == "daemon.uplink_flush" ||
+        event.type == "daemon.ntp_sync") {
+      EXPECT_EQ(trace, nullptr) << event.type;
+      continue;
+    }
+    if (event.type != "daemon.query_burst" && event.type != "daemon.count" &&
+        event.type != "daemon.decode_attempt" &&
+        event.type != "daemon.enqueue")
+      continue;
+    ASSERT_NE(trace, nullptr) << event.type;
+    const std::string& hex = std::get<std::string>(*trace);
+    const double simT = std::get<double>(*event.find("t"));
+    const auto [it, opened] = windowTrace.emplace(simT, hex);
+    if (opened)
+      EXPECT_TRUE(minted.insert(hex).second) << "trace reused at t=" << simT;
+    else
+      EXPECT_EQ(it->second, hex) << event.type << " at t=" << simT;
+  }
+  EXPECT_EQ(windowTrace.size(), daemon.stats().measurements);
+  EXPECT_GE(countType(events, "daemon.ntp_sync"), 1u);
 
   // One query burst and one count per measurement window.
   EXPECT_EQ(countType(events, "daemon.query_burst"),
@@ -212,36 +243,34 @@ TEST(ObsIntegration, GlobalRegistrySeesPipelineAndBackendCounters) {
 }
 
 TEST(ObsIntegration, SpanTreeMirrorsWindowStructure) {
-  obs::SpanTreeSink sink;
-  obs::attachTraceSink(&sink);
+  if (!obs::prof::kCompiledIn)
+    GTEST_SKIP() << "profiler compiled out (CARAOKE_PROF=OFF)";
+  obs::prof::reset();
 
   Rng rng(15);
   sim::Scene scene = parkedScene(rng, 2);
   apps::ReaderDaemonConfig config;
   apps::ReaderDaemon daemon(config, scene, 0, rng.fork());
   daemon.runUntil(5.0);
-  obs::attachTraceSink(nullptr);
 
-  // The root span is the measurement window and its children are the
-  // pipeline stages, in execution order.
-  const auto roots = sink.roots();
-  ASSERT_FALSE(roots.empty());
-  const auto* window = &roots.front();
-  EXPECT_EQ(window->name, "daemon.measurement_window");
-  EXPECT_EQ(window->calls, daemon.stats().measurements);
-  std::vector<std::string> childNames;
-  for (const auto& child : window->children) childNames.push_back(child.name);
-  ASSERT_GE(childNames.size(), 3u);
-  EXPECT_EQ(childNames[0], "daemon.query_burst");
-  EXPECT_EQ(childNames[1], "daemon.count");
-  EXPECT_EQ(childNames[2], "daemon.observe");
-
-  // Counting itself shows up nested under the window.
-  bool sawCount = false;
-  for (const auto& child : window->children)
-    if (child.name == "daemon.count" && !child.children.empty())
-      sawCount = true;
-  EXPECT_TRUE(sawCount);
+  // The trie roots at the window's steps, each called a fixed number of
+  // times per window: one query per burst slot, one count and one
+  // observe (analyzing every query), and at most the decode budget.
+  const obs::prof::ProfileSnapshot profile = obs::prof::snapshot();
+  const auto calls = [&](const std::string& stack) -> std::uint64_t {
+    for (const auto& path : profile.paths)
+      if (path.stack == stack) return path.calls;
+    return 0;
+  };
+  const std::uint64_t windows = daemon.stats().measurements;
+  const std::uint64_t queries = windows * config.queriesPerWindow;
+  ASSERT_GT(windows, 0u);
+  EXPECT_EQ(calls("sim.query"), queries);
+  EXPECT_EQ(calls("core.count"), windows);
+  EXPECT_EQ(calls("core.observe"), windows);
+  EXPECT_EQ(calls("core.observe;core.analyze"), queries);
+  EXPECT_LE(calls("core.decode"),
+            windows * config.decodeCollisionsPerWindow);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Unit tests for the telemetry subsystem: metric semantics (bucket edges,
-// snapshot + reset), span nesting under a trace sink, JSON-lines event
-// round-trips, and the thread-safe log sink.
+// snapshot + reset), the scoped histogram timer, and JSON-lines event
+// round-trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <thread>
 
-#include "common/log.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -255,43 +254,10 @@ TEST(ObsTrace, SpanRecordsDurationIntoHistogram) {
   obs::Registry registry;
   obs::Histogram& h = registry.histogram("stage.seconds");
   {
-    obs::ObsSpan span("stage", h);
+    obs::ObsSpan span(h);
   }
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GE(h.sum(), 0.0);
-}
-
-TEST(ObsTrace, SpanNestingUnderTraceSink) {
-  obs::SpanTreeSink sink;
-  obs::attachTraceSink(&sink);
-  obs::Registry registry;
-  for (int window = 0; window < 3; ++window) {
-    obs::ObsSpan outer("window", registry.histogram("window.seconds"));
-    {
-      obs::ObsSpan inner("count", registry.histogram("count.seconds"));
-    }
-    {
-      obs::ObsSpan inner("decode", registry.histogram("decode.seconds"));
-      obs::ObsSpan nested("combine", registry.histogram("combine.seconds"));
-    }
-  }
-  obs::attachTraceSink(nullptr);
-
-  const auto roots = sink.roots();
-  ASSERT_EQ(roots.size(), 1u);
-  EXPECT_EQ(roots[0].name, "window");
-  EXPECT_EQ(roots[0].calls, 3u);
-  ASSERT_EQ(roots[0].children.size(), 2u);
-  EXPECT_EQ(roots[0].children[0].name, "count");
-  EXPECT_EQ(roots[0].children[0].calls, 3u);
-  EXPECT_EQ(roots[0].children[1].name, "decode");
-  ASSERT_EQ(roots[0].children[1].children.size(), 1u);
-  EXPECT_EQ(roots[0].children[1].children[0].name, "combine");
-  EXPECT_EQ(roots[0].children[1].children[0].calls, 3u);
-
-  const std::string summary = sink.summary();
-  EXPECT_NE(summary.find("window"), std::string::npos);
-  EXPECT_NE(summary.find("3 calls"), std::string::npos);
 }
 
 TEST(ObsEvents, JsonLineRoundTrip) {
@@ -458,50 +424,6 @@ TEST(ObsMetrics, ConcurrentIncrementsAreLossless) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_NEAR(h.sum(), 0.25 * kThreads * kPerThread, 1e-6);
-}
-
-TEST(Log, SinkCapturesFormattedLines) {
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  setLogSink([&](LogLevel level, const std::string& line) {
-    captured.emplace_back(level, line);
-  });
-  const LogLevel before = logLevel();
-  setLogLevel(LogLevel::kInfo);
-
-  logDebug("below threshold");
-  logInfo("hello ", 42);
-  logError("boom");
-
-  setLogLevel(before);
-  setLogSink(nullptr);
-
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0].first, LogLevel::kInfo);
-  // Prefix: "[caraoke INFO  +<monotonic seconds>s] "
-  EXPECT_EQ(captured[0].second.rfind("[caraoke INFO ", 0), 0u);
-  EXPECT_NE(captured[0].second.find("s] hello 42"), std::string::npos);
-  EXPECT_EQ(captured[1].first, LogLevel::kError);
-  EXPECT_NE(captured[1].second.find("boom"), std::string::npos);
-}
-
-TEST(Log, ConcurrentEmissionDoesNotInterleave) {
-  std::vector<std::string> lines;
-  setLogSink([&](LogLevel, const std::string& line) {
-    lines.push_back(line);  // called under the log mutex
-  });
-  const LogLevel before = logLevel();
-  setLogLevel(LogLevel::kInfo);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([t] {
-      for (int i = 0; i < 100; ++i) logInfo("thread ", t, " line ", i);
-    });
-  for (auto& t : threads) t.join();
-  setLogLevel(before);
-  setLogSink(nullptr);
-  EXPECT_EQ(lines.size(), 400u);
-  for (const std::string& line : lines)
-    EXPECT_NE(line.find("thread "), std::string::npos);
 }
 
 }  // namespace

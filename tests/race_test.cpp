@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "net/backend.hpp"
 #include "net/framing.hpp"
@@ -128,81 +127,26 @@ TEST(Race, MetricsExpositionDuringMutation) {
 }
 
 // ------------------------------------------------------------- tracing --
-// Static coverage: obs/trace.hpp — SpanTreeSink::{roots_, openPaths_}
-// CARAOKE_GUARDED_BY(mutex_), findOrAdd CARAOKE_REQUIRES(mutex_);
-// obs/trace.cpp g_traceSink is a CARAOKE_LOCKFREE atomic pointer.
+// Static coverage: obs/metrics.hpp — Histogram buckets/count/sum are
+// CARAOKE_LOCKFREE atomics; Registry::histogram get-or-create takes
+// Registry.mutex_. ObsSpan itself holds no shared state.
 
 TEST(Race, SpanTracingConcurrentNesting) {
-  // Nested RAII spans on every thread, all feeding one SpanTreeSink and
-  // one registry. Per-thread nesting depth is thread_local; the sink's
-  // aggregate tree is mutex-guarded — the call counts must add up.
+  // Nested RAII timers on every thread, each resolving its histogram
+  // from one shared registry: no observation may be lost.
   obs::Registry registry;
-  obs::SpanTreeSink sink;
-  obs::attachTraceSink(&sink);
   constexpr std::size_t kIters = 300;
   runThreads(kThreads, [&registry](std::size_t) {
     for (std::size_t i = 0; i < kIters; ++i) {
-      obs::ObsSpan outer("race.span.outer", &registry);
+      obs::ObsSpan outer(registry.histogram("race.span.outer"));
       {
-        obs::ObsSpan inner("race.span.inner", &registry);
+        obs::ObsSpan inner(registry.histogram("race.span.inner"));
       }
     }
   });
-  obs::attachTraceSink(nullptr);
 
   EXPECT_EQ(registry.histogram("race.span.outer").count(), kThreads * kIters);
   EXPECT_EQ(registry.histogram("race.span.inner").count(), kThreads * kIters);
-  std::size_t outerCalls = 0;
-  std::size_t innerCalls = 0;
-  for (const auto& root : sink.roots()) {
-    if (root.name != "race.span.outer") continue;
-    outerCalls += root.calls;
-    for (const auto& child : root.children)
-      if (child.name == "race.span.inner") innerCalls += child.calls;
-  }
-  EXPECT_EQ(outerCalls, kThreads * kIters);
-  EXPECT_EQ(innerCalls, kThreads * kIters);
-}
-
-// -------------------------------------------------------------- logger --
-// Static coverage: common/log.cpp — g_level is a CARAOKE_LOCKFREE
-// atomic; sink storage + emission serialize on the function-local
-// logMutex() (exempt from the mutexowner lint: not a member).
-
-TEST(Race, LoggerConcurrentEmissionAndSinkSwap) {
-  // Loggers on 8 threads while the main thread hot-swaps the sink
-  // between a capturing lambda and the default: emission and swap
-  // serialize on the log mutex, so every line lands in exactly one sink
-  // and no line is torn.
-  setLogLevel(LogLevel::kInfo);
-  std::atomic<std::uint64_t> captured{0};
-  std::atomic<bool> done{false};
-
-  std::thread swapper([&captured, &done] {
-    while (!done.load(std::memory_order_acquire)) {
-      setLogSink([&captured](LogLevel, const std::string& line) {
-        EXPECT_NE(line.find("[caraoke"), std::string::npos);
-        captured.fetch_add(1, std::memory_order_relaxed);
-      });
-      setLogSink([](LogLevel, const std::string&) {});  // swallow
-    }
-    // Leave a swallowing sink attached for the drain below.
-    setLogSink([](LogLevel, const std::string&) {});
-  });
-
-  constexpr std::size_t kIters = 500;
-  runThreads(kThreads, [](std::size_t tid) {
-    for (std::size_t i = 0; i < kIters; ++i)
-      logInfo("race logger thread=", tid, " i=", i);
-  });
-  done.store(true, std::memory_order_release);
-  swapper.join();
-
-  setLogSink(nullptr);
-  setLogLevel(LogLevel::kWarn);
-  // Some lines went to the capturing sink, some to the swallower; the
-  // real assertion is that TSan saw no race and no line was torn.
-  EXPECT_LE(captured.load(), kThreads * kIters);
 }
 
 // -------------------------------------------------------------- events --
@@ -326,7 +270,7 @@ TEST(Race, OutboxConcurrentProducersCollectorAcker) {
 // CARAOKE_GUARDED_BY(mutex_), ingest/apply/snapshot *Locked helpers
 // CARAOKE_REQUIRES(mutex_); recovering_ is CARAOKE_LOCKFREE. The
 // under-lock observability calls are the declared Backend.mutex_ ->
-// {FlightRecorder,EventSink,TraceSink,Registry}.mutex_ edges.
+// {FlightRecorder,EventSink,Registry}.mutex_ edges.
 
 TEST(Race, BackendConcurrentBatchIngest) {
   // 8 reader streams ingest batches concurrently, with every third
@@ -495,27 +439,6 @@ TEST(Race, FlightRecorderConcurrentRecordAndSnapshot) {
   const auto snap = flight.snapshot();
   ASSERT_EQ(snap.size(), 64u);
   for (const auto& event : snap) EXPECT_EQ(event.type, "race.flight");
-}
-
-TEST(Race, FlightRecorderAsSharedSpanSink) {
-  // Spans from many threads land in one recorder through the process
-  // trace sink; each completed span becomes one obs.span ring event.
-  obs::FlightRecorder flight(4096);
-  obs::attachTraceSink(&flight);
-  constexpr std::size_t kSpansPerThread = 200;
-  runThreads(kThreads, [](std::size_t) {
-    obs::Registry registry;
-    obs::Histogram& h = registry.histogram("race.span.seconds");
-    for (std::size_t i = 0; i < kSpansPerThread; ++i) {
-      obs::ObsSpan span("race.work", h);
-      (void)span;
-    }
-  });
-  obs::attachTraceSink(nullptr);
-  EXPECT_EQ(flight.totalRecorded(), kThreads * kSpansPerThread);
-  for (const auto& event : flight.snapshot()) {
-    EXPECT_EQ(event.type, "obs.span");
-  }
 }
 
 }  // namespace

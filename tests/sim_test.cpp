@@ -9,7 +9,6 @@
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/spectrum.hpp"
-#include "sim/events.hpp"
 #include "sim/geometry.hpp"
 #include "sim/intersection.hpp"
 #include "sim/medium.hpp"
@@ -360,33 +359,6 @@ TEST(Scene, LinkBudgetTriggerSeesMultipathFading) {
     prev = p;
   }
   EXPECT_TRUE(sawNonMonotone);
-}
-
-TEST(Events, RunsInTimeOrderWithStableTies) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(2.0, [&] { order.push_back(3); });
-  queue.schedule(1.0, [&] { order.push_back(1); });
-  queue.schedule(1.0, [&] { order.push_back(2); });
-  queue.schedule(5.0, [&] { order.push_back(4); });
-  queue.run(3.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(queue.pending(), 1u);
-  queue.run(10.0);
-  EXPECT_EQ(order.back(), 4);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(Events, HandlersCanScheduleMoreEvents) {
-  EventQueue queue;
-  int count = 0;
-  std::function<void()> reschedule = [&] {
-    ++count;
-    if (count < 5) queue.schedule(queue.now() + 1.0, reschedule);
-  };
-  queue.schedule(0.0, reschedule);
-  queue.run(100.0);
-  EXPECT_EQ(count, 5);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ This linter enforces the ones the architecture depends on:
                refreshing the baseline here) is exactly how a silent
                layout skew ships, so both halves of the pairing are
                enforced.
-  metricnames  Metric/event/span name literals follow the dotted
+  metricnames  Metric and event name literals follow the dotted
                lowercase grammar (`net.backend.batches_ingested`), and no
                metric name is registered at more than one source
                location or under two different kinds — exposition and
@@ -306,7 +306,7 @@ NAME_GRAMMAR_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 METRIC_REG_RE = re.compile(
     r"\.(?P<kind>counter|gauge|histogram)\s*\(\s*\"(?P<name>[^\"]+)\"")
 EVENT_EMIT_RE = re.compile(
-    r"(?:emitEvent|recordEvent|ObsSpan\b[^(]*)\(\s*\"(?P<name>[^\"]+)\"")
+    r"(?:emitEvent|recordEvent)\(\s*\"(?P<name>[^\"]+)\"")
 
 
 def check_metricnames(files, rel, findings):
@@ -346,7 +346,7 @@ def check_metricnames(files, rel, findings):
                 if not allowed(line, "metricnames", findings, rp, lineno):
                     findings.append(Finding(
                         "metricnames", rp, lineno,
-                        f"event/span name '{name}' violates the dotted "
+                        f"event name '{name}' violates the dotted "
                         "lowercase grammar"))
 
     for name, sites in sorted(registrations.items()):
@@ -365,16 +365,17 @@ def check_metricnames(files, rel, findings):
                 f"({where}) — resolve the handle once and share it"))
 
 
-# The profiler stage registry (src/obs/prof_stages.hpp) as of PR 6.
-# A PR that adds/renames a stage must update prof_stages.hpp AND this
+# The acknowledged profiler stage registry (src/obs/prof_stages.hpp).
+# A change that adds/renames a stage must update prof_stages.hpp AND this
 # baseline — stage names key folded flamegraph frames, the /profile
 # JSON, and benchgate's per-burst counter budgets, so a silent rename
 # breaks every committed BENCH_*.json trend.
 PROFSTAGE_BASELINE = {
+    "sim.query",
     "dsp.window", "dsp.fft", "dsp.peak", "dsp.spectrum", "dsp.goertzel",
     "phy.cfo", "phy.demod", "phy.manchester",
-    "core.analyze", "core.count", "core.decode", "core.coherent_sum",
-    "core.chase", "core.timing_search",
+    "core.analyze", "core.count", "core.observe", "core.decode",
+    "core.coherent_sum", "core.chase", "core.timing_search",
 }
 
 PROFSTAGE_REGISTRY = "src/obs/prof_stages.hpp"

@@ -20,8 +20,8 @@ with a small C++ tokenizer and enforcing three rules:
                destructors are exempt (single-threaded by contract).
   order        While a lock is held, every further acquisition — a call
                to a lock-taking method of a member object, or a
-               call-site pattern from the table (e.g. obs::ObsSpan,
-               obs::emitEvent) — must match an edge declared in the
+               call-site pattern from the table (e.g. obs::emitEvent,
+               backendMetrics) — must match an edge declared in the
                machine-readable ```lockorder``` table in DESIGN.md §10.
                The declared graph must be acyclic; `forbid A <-> B`
                pairs (Outbox vs Backend) may never be observed in
